@@ -56,6 +56,30 @@ def ensure_corpus() -> str:
     return CORPUS_DIR
 
 
+def time_chunk(chunk: list[str]) -> dict[str, float] | None:
+    """Time the named queries in a child ``bench.py`` session; None
+    when the child fails or its last stdout line is not the JSON
+    result, so the caller isolates the chunk query by query."""
+    env = dict(
+        os.environ,
+        GRAFT_BENCH_QUERIES=",".join(chunk),
+        GRAFT_NO_QUERY_CACHE="1",
+        RAY_GRAFT_CPUS=str(NUM_CPUS),
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "bench.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        return None
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])["queries"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
+
+
 def run_bench() -> dict:
     import ray
 
@@ -131,23 +155,6 @@ def run_bench() -> dict:
         "GRAFT_HEADLINE_ONLY"
     ) else []
     ray.shutdown()  # free the CPUs before the children init their own
-
-    def time_chunk(chunk: list[str]) -> dict[str, float] | None:
-        env = dict(
-            os.environ,
-            GRAFT_BENCH_QUERIES=",".join(chunk),
-            GRAFT_NO_QUERY_CACHE="1",
-            RAY_GRAFT_CPUS=str(NUM_CPUS),
-        )
-        proc = subprocess.run(
-            [sys.executable, os.path.join(REPO, "bench.py")],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            return None
-        return json.loads(proc.stdout.strip().splitlines()[-1])["queries"]
 
     queries: dict[str, float] = {}
     group = int(os.environ.get("GRAFT_BENCH_GROUP", "20"))

@@ -4,8 +4,8 @@ The Ray restatement of the collector's one-pipeline steady state
 (SURVEY.md §3.1 step 5): receiver (parquet read) → processors
 (map_batches chain, the synchronous consumer chain of docs/design.md:77
 re-expressed as a streaming block pipeline) → fanout (route tagging) →
-exporters (per-sink partitioned parquet) → obsreport counters (metrics
-actor + per-sink aggregate counts).
+exporters (per-sink partitioned parquet) → obsreport counters (per-sink
+counts from the written files' parquet footers).
 
 All stages run ``batch_format="pyarrow"`` (zero-copy from the object
 store). The only all-to-all operations are the tiny ``groupby("sink")``
@@ -71,9 +71,13 @@ def run_logs_pipeline(
     ``partition_cols=["sink"]`` — one scan feeds every exporter, the
     fanout never copies blocks, and each sink directory is independently
     re-readable (resumable layout).
-    """
-    import ray
 
+    ``counters`` holds this call's obsreport numbers, built on the
+    driver: a named counter actor dies with its last handle at return,
+    so each call would pay a fresh worker-process start for a snapshot
+    of counts the driver already has. ``run_id`` names the run for the
+    caller; no state is keyed on it.
+    """
     from ..sources.transcripts import read_transcripts
     from ..state import metrics as m
 
@@ -89,15 +93,13 @@ def run_logs_pipeline(
     # surface, counted at the exporter boundary like
     # obsreport_exporter.go:42-57.
     per_sink = write_sinks(exploded, out_dir)
-    actor = m.get_metrics_actor(run_id)
+    # answered from parquet metadata: no Ray Data job runs
     accepted = int(ds.count())
-    updates = {m.receiver_accepted(): accepted}
+    counters = {m.receiver_accepted(): accepted}
     for sink, n in per_sink.items():
-        updates[m.exporter_sent(sink)] = n
-    ray.get(actor.add_many.remote(updates))
-    snapshot = ray.get(actor.snapshot.remote())
+        counters[m.exporter_sent(sink)] = n
     return {
         "accepted": accepted,
         "per_sink": per_sink,
-        "counters": snapshot,
+        "counters": counters,
     }

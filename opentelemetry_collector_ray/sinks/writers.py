@@ -8,6 +8,10 @@
 - ``write_sinks``: the fan-out exporter — one pass, one partitioned
   write (``partition_cols=["sink"]``), every sink directory
   independently re-readable.
+- ``landed_counts``: the ``sent_log_records`` numbers, summed from the
+  parquet footers of the files that landed — counted once at the
+  exporter boundary (obsmetrics/obs_exporter.go:37), never by scanning
+  the written data a second time.
 - ``logging_sink``: the logging/debug exporter
   (exporter/loggingexporter/logging_exporter.go:40-87) — counts
   records and shows a bounded sample instead of exporting.
@@ -20,6 +24,8 @@ import logging
 import os
 import shutil
 
+import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.fs as pafs
 import ray.data
 
@@ -41,6 +47,27 @@ def _recover_and_clean(parent: str, base: str, out_dir: str) -> None:
         olds = olds[1:]
     for p in olds + glob.glob(os.path.join(parent, f".tmp-{base}-*")):
         shutil.rmtree(p, ignore_errors=True)
+
+
+def landed_counts(path: str, filesystem=None, key: str | None = None):
+    """Rows in the parquet files under ``path``, summed from their
+    footers — no data page is read and no Ray Data job runs. With
+    ``key``, a dict of hive partition value → rows (``{}`` for an empty
+    directory); pyarrow URI-decodes the ``key=value`` directory names,
+    so any sink name round-trips. The key is typed string, never
+    inferred: a sink named ``007`` stays ``"007"``. Files and
+    directories starting with ``.`` or ``_`` are not counted."""
+    partitioning = None
+    if key is not None:
+        partitioning = pads.HivePartitioning(pa.schema([(key, pa.string())]))
+    dataset = pads.dataset(
+        path, format="parquet", partitioning=partitioning, filesystem=filesystem
+    )
+    counts: dict[str, int] = {}
+    for f in dataset.get_fragments():
+        value = str(pads.get_partition_keys(f.partition_expression).get(key))
+        counts[value] = counts.get(value, 0) + f.metadata.num_rows
+    return dict(sorted(counts.items())) if key is not None else sum(counts.values())
 
 
 def atomic_write_parquet(
@@ -96,9 +123,12 @@ def atomic_write_parquet(
     _recover_and_clean(parent, base, out_dir)
     # write the replacement FIRST; only then swap — a crash mid-write
     # must leave the previous complete sink untouched (the retry
-    # contract; rewriting in place would destroy good data).
+    # contract; rewriting in place would destroy good data). The tmp
+    # dir exists up front so an empty dataset (zero files) still
+    # publishes an empty sink.
+    os.makedirs(tmp)
     ds.write_parquet(tmp, **kwargs)
-    rows = ray.data.read_parquet(tmp).count()
+    rows = landed_counts(tmp)
     if os.path.exists(out_dir):
         os.rename(out_dir, old)
     os.rename(tmp, out_dir)
@@ -144,7 +174,7 @@ def _atomic_write_parquet_fs(
         fs.delete_dir(p)
     fs.create_dir(tmp, recursive=True)
     ds.write_parquet(tmp, filesystem=fs, **kwargs)
-    rows = ray.data.read_parquet(tmp, filesystem=fs).count()
+    rows = landed_counts(tmp, fs)
     if fs.get_file_info(out_dir).type != pafs.FileType.NotFound:
         fs.move(out_dir, old)
     fs.move(tmp, out_dir)
@@ -164,7 +194,7 @@ def write_sinks(
 ) -> dict:
     """One-pass atomic fan-out write of an exploded (…, sink) dataset;
     returns per-sink counts (the exporter sent_log_records numbers),
-    computed with the combiner pattern over the written output.
+    summed from the footers of the published files (``landed_counts``).
     ``out_dir`` may be a filesystem URI (``storage_options`` →
     filesystem constructor, the configauth plumbing).
 
@@ -173,8 +203,6 @@ def write_sinks(
     ``sort_within`` (the §2.6 stable (conv_id, turn_idx) promise at the
     file level; per-file, not global — a global sort would be an
     unnecessary all-to-all). Gated by ``engine.sortedSinkWrites``."""
-    from ..functions.agg import grouped_count_driver
-
     fs = None
     if filesystem is not None or storage_options is not None or "://" in out_dir:
         from ..sources import wirefs
@@ -205,9 +233,7 @@ def write_sinks(
     atomic_write_parquet(
         exploded, out_dir, partition_cols=["sink"], filesystem=fs, **kwargs
     )
-    out = ray.data.read_parquet(out_dir, filesystem=fs)
-    counts = grouped_count_driver(out, ["sink"])
-    return {str(r["sink"]): int(r["n"]) for _, r in counts.iterrows()}
+    return landed_counts(out_dir, fs, key="sink")
 
 
 def logging_sink(ds: ray.data.Dataset, *, sample: int = 5, name: str = "debug") -> dict:

@@ -136,11 +136,12 @@ def run_partitioned(
     Each partition run uses the whole cluster (the partitioning is for
     failure isolation, not parallelism — parallelism comes from Ray Data
     inside the partition).
-    """
-    import ray
-    import ray.data
 
-    from . import metrics as m
+    Partition row counts come from the footers of the files each write
+    landed (``sinks.writers.landed_counts``) and live in the ledger;
+    ``run_id`` names the run for the caller, no state is keyed on it.
+    """
+    from ..sinks.writers import landed_counts
 
     os.makedirs(out_dir, exist_ok=True)
     ledger = PartitionLedger(out_dir)
@@ -170,7 +171,6 @@ def run_partitioned(
         if name.startswith(".tmp-part-"):
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
 
-    actor = m.get_metrics_actor(run_id)
     processed = 0
     skipped = 0
     for pid, files in enumerate(plan):
@@ -193,22 +193,15 @@ def run_partitioned(
 
         def write_once(files=files, tmp=tmp):
             shutil.rmtree(tmp, ignore_errors=True)
+            os.makedirs(tmp)
             pipeline_fn(files).write_parquet(tmp)
-            return ray.data.read_parquet(tmp).count()
+            return landed_counts(tmp)
 
         # retry I/O failures only — a user-code error in the pipeline
         # must surface immediately, not after 5 minutes of backoff.
         rows = retry_call(write_once, is_retryable=_is_io_failure)
         os.rename(tmp, final)
         ledger.record(LedgerEntry(pid, [_input_key(f) for f in files], int(rows)))
-        ray.get(
-            actor.add_many.remote(
-                {
-                    f"checkpoint/partition_{pid}_rows": int(rows),
-                    m.exporter_sent("checkpointed"): int(rows),
-                }
-            )
-        )
         processed += 1
 
     total_rows = sum(e.rows for e in ledger.completed().values())

@@ -249,13 +249,19 @@ class OtlpHttpListener:
         is_pb = ctype in _PB_TYPES
         if not is_pb and ctype not in _JSON_TYPES:
             return self._refuse(h, 415, f"unsupported content type {ctype!r}")
+        if h.headers.get("Content-Length") is None or h.headers.get(
+            "Transfer-Encoding"
+        ):
+            # the body is read by Content-Length only: a chunked or
+            # unsized body would be read as empty and acked with
+            # nothing landed
+            return self._refuse(h, 411, "Content-Length required")
         if not self._sem.acquire(blocking=False):
             return self._refuse(h, 429, "too many in-flight exports", True)
         try:
             if self._spool_saturated():
                 return self._refuse(h, 429, "spool backlog full", True)
-            length = int(h.headers.get("Content-Length") or 0)
-            body = h.rfile.read(length)
+            body = h.rfile.read(int(h.headers["Content-Length"]))
             root = _SIGNAL_ROOTS[signal]
             try:
                 # Content-Encoding by payload MAGIC, never the header

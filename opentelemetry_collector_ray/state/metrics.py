@@ -8,11 +8,17 @@ obs_receiver.go:31-45), processor ``accepted/refused/dropped``
 (obs_processor.go:24-33), exporter ``sent_log_records`` /
 ``send_failed_log_records`` (obs_exporter.go:24-39).
 
-Ray restatement: ONE named counter actor per run. Stages do NOT call it
-per batch (an actor RPC per batch would serialize the pipeline);
-instead the driver records stage-level row counts (Dataset counts /
-aggregate results) after each consuming operation — same monotonic
-counter surface, no data-plane overhead. In batch mode ``refused`` and
+Ray restatement: the counter names here, held where the counts are
+made. A batch run whose counts all reach the driver keeps them in a
+plain dict on the driver: ``run_logs_pipeline`` returns the receiver
+and per-sink counts it read from parquet metadata, and
+``run_partitioned`` records per-partition rows in its ledger — a
+named actor per call would only add a worker-process start (a
+non-detached named actor dies with its last handle). The named
+``MetricsActor`` remains for counts made on the data plane: the
+per-stage processor counters of ``pipelines.builder`` (sharded, one
+fire-and-forget add per block, never per row) and the ``obs_counters``
+query. In batch mode ``refused`` and
 ``dropped`` are structural zeros (backpressure replaces refusal; for
 the explicit memorylimiterprocessor budget surface — per-worker RSS
 refusal with hysteresis — see ``stages/memlimit.py``).

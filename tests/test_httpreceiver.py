@@ -258,6 +258,44 @@ def test_http_listener_error_paths(tmp_path):
         lis.stop()
 
 
+def test_http_listener_refuses_unsized_post(tmp_path):
+    """A POST the listener cannot size (chunked, or no Content-Length)
+    answers 411 and lands nothing — it was read as an empty body and
+    acked 200 with the rows dropped."""
+    import http.client
+
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool, max_buffer_rows=1 << 20)
+    lis = OtlpHttpListener({"logs": actor})
+    port = lis.start()
+    row, _ = _request_row(32)
+    body = json.dumps(_strip_nulls(row), separators=(",", ":")).encode()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        # an iterable body without Content-Length goes out chunked
+        conn.request(
+            "POST", "/v1/logs", body=iter([body[:100], body[100:]]),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        assert resp.status == 411
+        assert resp.getheader("Connection") == "close"
+        conn.close()
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.putrequest("POST", "/v1/logs")
+        conn.putheader("Content-Type", "application/json")
+        conn.endheaders()
+        assert conn.getresponse().status == 411
+        conn.close()
+
+        assert lis.accepted == 0
+        assert lis.refused == 2
+        assert not glob.glob(os.path.join(spool, "*.parquet"))
+    finally:
+        lis.stop()
+
+
 def test_http_listener_rejects_unknown_signal_config():
     with pytest.raises(ValueError, match="unknown signals"):
         OtlpHttpListener({"logz": None})

@@ -179,3 +179,138 @@ def test_fs_sink_recovery_restores_old_when_no_new_write(ray_session, tmp_path):
     # back before writing (here we just re-run the same write)
     n = atomic_write_parquet(ray.data.from_arrow(t1), "sink", filesystem=sub)
     assert n == 3
+
+
+def _routed(sinks: dict) -> "ray.data.Dataset":
+    """An exploded (x, sink) dataset with ``sinks[name]`` rows per sink,
+    split over several blocks so each sink lands as several files."""
+    import pyarrow as pa
+
+    names = [s for s, n in sinks.items() for _ in range(n)]
+    t = pa.table({"x": list(range(len(names))), "sink": names})
+    return ray.data.from_arrow(t).repartition(4)
+
+
+def test_landed_counts_round_trip_escaped_sink_names(tmp_path):
+    """Hive directory names are URI-encoded on write; the footer counts
+    give back the exact sink names (a string key: "007" is not 7)."""
+    from opentelemetry_collector_ray.sinks.writers import landed_counts, write_sinks
+
+    want = {"a b": 5, "x/y": 7, "50%": 3, "k=v": 4, "007": 2, "plain": 9}
+    out = str(tmp_path / "routed")
+    assert write_sinks(_routed(want), out) == want
+    assert landed_counts(out, key="sink") == want
+    assert landed_counts(out) == sum(want.values())
+
+
+def test_empty_write_counts_zero(tmp_path):
+    """Zero rows: Ray writes zero files, and the sink still publishes
+    (empty) with zero counts — no crash on the missing output."""
+    import pyarrow as pa
+
+    from opentelemetry_collector_ray.sinks.writers import write_sinks
+
+    empty = pa.table({"x": pa.array([], pa.int64()), "sink": pa.array([], pa.string())})
+    out = str(tmp_path / "routed")
+    assert write_sinks(ray.data.from_arrow(empty), out) == {}
+    assert os.path.isdir(out)
+    one = str(tmp_path / "one")
+    assert atomic_write_parquet(ray.data.from_arrow(empty.select(["x"])), one) == 0
+    assert os.path.isdir(one)
+
+
+def test_landed_counts_skip_stranded_dirs(tmp_path):
+    """``.tmp-*``/``.old-*`` debris — a crashed attempt's, next to the
+    sink or inside it — never enters the counts."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.sinks.writers import landed_counts, write_sinks
+
+    stray = pa.table({"x": list(range(100))})
+    for d in (".tmp-routed-99-dead/sink=a", ".old-routed-98-dead/sink=a"):
+        os.makedirs(tmp_path / d)
+        pq.write_table(stray, str(tmp_path / d / "f.parquet"))
+    want = {"a": 3, "b": 4}
+    out = str(tmp_path / "routed")
+    assert write_sinks(_routed(want), out) == want
+    for d in (".tmp-routed-1-dead/sink=a", ".old-routed-2-dead/sink=b"):
+        os.makedirs(tmp_path / d)
+        pq.write_table(stray, str(tmp_path / d / "f.parquet"))
+    for d in (".tmp-part-0-1", "_scratch"):
+        os.makedirs(os.path.join(out, d))
+        pq.write_table(stray, os.path.join(out, d, "f.parquet"))
+    assert landed_counts(out, key="sink") == want
+    assert landed_counts(out) == 7
+
+
+def test_landed_counts_subtree_filesystem_matches_local(tmp_path):
+    """The non-local publish path (``_atomic_write_parquet_fs``) counts
+    the same rows per sink as the local one."""
+    import pyarrow.fs as pafs
+
+    from opentelemetry_collector_ray.sinks.writers import landed_counts, write_sinks
+
+    want = {"a b": 6, "x/y": 2, "c": 11}
+    local = write_sinks(_routed(want), str(tmp_path / "local"))
+    sub = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
+    remote = write_sinks(_routed(want), "remote", filesystem=sub)
+    assert local == remote == want
+    assert landed_counts("remote", sub, key="sink") == want
+    assert atomic_write_parquet(ray.data.range(13), "flat", filesystem=sub) == 13
+
+
+def test_write_path_reads_nothing_back(tmp_path, monkeypatch):
+    """Counts come from footers: the writers and the checkpointed drain
+    start no ``read_parquet`` job on what they just wrote."""
+    from opentelemetry_collector_ray.sinks.writers import write_sinks
+    from opentelemetry_collector_ray.state.checkpoint import run_partitioned
+
+    reads = []
+    real = ray.data.read_parquet
+
+    def spy(paths, *args, **kwargs):
+        reads.append(paths)
+        return real(paths, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    assert write_sinks(_routed({"a": 2, "b": 3}), str(tmp_path / "r")) == {"a": 2, "b": 3}
+    assert atomic_write_parquet(ray.data.range(5), str(tmp_path / "one")) == 5
+    inputs = [str(tmp_path / f"in{i}") for i in range(3)]
+    res = run_partitioned(
+        inputs, str(tmp_path / "drained"),
+        lambda files: ray.data.range(10 * len(files)), num_partitions=2,
+    )
+    assert res["total_rows"] == 30
+    assert reads == []
+
+
+def test_run_logs_pipeline_counters_per_call(tmp_path):
+    """Counters are built on the driver, per call: two calls with one
+    run_id return the same counters, each equal to that call's accepted
+    and per-sink counts, and no named counter actor outlives them."""
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.fixtures import write_transcript_corpus
+    from opentelemetry_collector_ray.pipelines.logs import run_logs_pipeline
+    from opentelemetry_collector_ray.state import metrics as m
+
+    paths = write_transcript_corpus(str(tmp_path / "in"), 40, files=2)
+    run_id = uuid.uuid4().hex[:8]
+    before = set(ray.util.list_named_actors())
+    out = str(tmp_path / "out")
+    results = [run_logs_pipeline(paths, out, run_id=run_id) for _ in range(2)]
+    assert results[0]["counters"] == results[1]["counters"]
+    for res in results:
+        want = {m.receiver_accepted(): res["accepted"]}
+        want.update({m.exporter_sent(s): n for s, n in res["per_sink"].items()})
+        assert res["counters"] == want
+    assert results[0]["accepted"] == sum(pq.read_metadata(p).num_rows for p in paths)
+    back = pq.read_table(out, partitioning="hive").to_pandas()
+    assert results[1]["per_sink"] == {
+        str(s): int(n) for s, n in back.groupby("sink", observed=True).size().items()
+    }
+    left = set(ray.util.list_named_actors()) - before
+    assert not [a for a in left if a.startswith("otel_ray_metrics_")]
