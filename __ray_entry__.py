@@ -3222,7 +3222,9 @@ def q_heavy_hitters(sf_dir: str):
     contract) stays pinned by pytest (`test_ops` Misra-Gries bounds)
     and by `heavy_hitters_exact`'s low-cardinality gate. Nulls drop
     before the sketch (value_counts would float-ify an int column with
-    NaN and diverge from the oracle's WHERE IS NOT NULL)."""
+    NaN and diverge from the oracle's WHERE IS NOT NULL). A non-zero
+    max_err means the cardinality outgrew k at this scale: that raises,
+    rather than surfacing later as an oracle hash mismatch."""
     import pyarrow.compute as _pc
     import ray.data
 
@@ -3234,7 +3236,14 @@ def q_heavy_hitters(sf_dir: str):
         lambda t: t.filter(_pc.is_valid(t["user_id"])),
         batch_format="pyarrow",
     )
-    return heavy_hitters(ds, value="user_id", k=512, top=20)
+    out = heavy_hitters(ds, value="user_id", k=512, top=20)
+    if (out["max_err"] != 0).any():
+        raise ValueError(
+            "heavy_hitters: user_id cardinality exceeds k=512 "
+            f"(max_err {int(out['max_err'].max())}); the exact oracle "
+            "no longer holds at this scale"
+        )
+    return out
 
 
 def q_heavy_hitters_exact(sf_dir: str):

@@ -13,7 +13,7 @@ Three disciplines, all motivated by real failure modes:
 
 * **Atomic publish** — payloads land under a ``.tmp-`` name and are
   renamed into place (fsync'd first on a local filesystem, mirroring
-  ``SpoolReceiverActor._land``). A reader listing the directory never
+  ``SpoolReceiverActor._publish``). A reader listing the directory never
   sees a torn file: the tmp prefix keeps it out of every extension
   glob, and the rename is the commit point. On object stores ``move``
   is copy+delete rather than a true rename, but the tmp name is still

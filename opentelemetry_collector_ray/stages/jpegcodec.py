@@ -289,7 +289,9 @@ def _destuffed_segments(buf: bytes, start: int) -> tuple[list[bytes], int]:
             i += 1
             continue
         m = buf[i + 1] if i + 1 < n else 0xD9
-        if m == 0x00:
+        if m == 0xFF:  # fill byte before a marker (T.81 B.1.1.2)
+            i += 1
+        elif m == 0x00:
             cur.append(0xFF)
             i += 2
         elif 0xD0 <= m <= 0xD7:  # RSTn
@@ -334,6 +336,8 @@ def _decode_jpeg(buf: bytes) -> np.ndarray:
     while i < n:
         if buf[i] != 0xFF:
             raise ValueError("bad JPEG marker stream")
+        while i + 1 < n and buf[i + 1] == 0xFF:  # fill bytes (T.81 B.1.1.2)
+            i += 1
         m = buf[i + 1]
         if m in (0x01,) or 0xD0 <= m <= 0xD7:
             i += 2

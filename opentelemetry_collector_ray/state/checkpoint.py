@@ -150,8 +150,8 @@ def run_partitioned(
 
     # input-drift detection: a ledger-complete partition whose recorded
     # input set no longer matches the plan is stale — reprocess it.
-    # Inputs are recorded as "basename:bytes" so a shard REWRITTEN under
-    # the same name (re-delivery, append) also drifts, not only
+    # Inputs are recorded as path:bytes:mtime (``_input_key``) so a shard
+    # REWRITTEN under the same name (re-delivery, append) also drifts, not only
     # added/removed files. This is the incremental-ingestion path:
     # only changed partitions redo work.
     for pid, files in enumerate(plan):
@@ -184,6 +184,10 @@ def run_partitioned(
             raise RuntimeError(f"injected crash before partition {pid}")
         tmp = os.path.join(out_dir, f".tmp-part-{pid}-{os.getpid()}")
         final = os.path.join(out_dir, f"part-{pid}")
+        # keys of the content about to be processed: an input rewritten
+        # while the partition runs (a growing open spool segment) then
+        # drifts on the next run instead of being ledgered as done
+        keys = [_input_key(f) for f in files]
 
         # the retry-sender analogue around the sink write: transient
         # write failures back off with the reference's schedule
@@ -201,7 +205,7 @@ def run_partitioned(
         # must surface immediately, not after 5 minutes of backoff.
         rows = retry_call(write_once, is_retryable=_is_io_failure)
         os.rename(tmp, final)
-        ledger.record(LedgerEntry(pid, [_input_key(f) for f in files], int(rows)))
+        ledger.record(LedgerEntry(pid, keys, int(rows)))
         processed += 1
 
     total_rows = sum(e.rows for e in ledger.completed().values())

@@ -11,9 +11,10 @@ ExportXServiceRequest protobuf or OTLP/JSON; gzip/zstd
 Content-Encoding sniffed off payload magic, never the path), flattens
 to the engine's flat Arrow schema with the SAME codecs the file
 readers use, and pushes to a :class:`state.receiver.SpoolReceiverActor`
-with ``durable=True`` — the 200 ack means the rows are fsynced in an
-atomic spool file, exactly the reference's queue+storage acceptance
-contract. From the spool onward the checkpoint ledger makes
+with ``durable=True`` — the 200 ack means the rows are fsynced in the
+receiver's atomically republished open spool segment (one file per
+``SEGMENT_ROWS`` rows, not one per request), exactly the reference's
+queue+storage acceptance contract. From the spool onward the checkpoint ledger makes
 processing exactly-once (``state.checkpoint.run_partitioned``).
 
 Backpressure (otlphttp's 429 path, confighttp + exporterhelper
@@ -22,16 +23,17 @@ Retry-After convention): two independent gates, both answering
 - ``max_inflight``: bound on concurrently-decoding requests (the
   bounded-queue analogue; a non-blocking semaphore, so a burst beyond
   the bound is REFUSED, not buffered — memory_limiter semantics).
-- ``max_spool_backlog``: bound on landed-but-unprocessed spool files —
-  backpressure from the downstream processor, so a stalled pipeline
-  stops accepting instead of filling the disk.
+- ``max_spool_backlog``: bound on landed-but-unprocessed spool
+  segments (``*.parquet`` files, the open one included) — backpressure
+  from the downstream processor, so a stalled pipeline stops accepting
+  instead of filling the disk.
 
 Error mapping mirrors otlp.go: 404 unknown path, 405 non-POST, 415
 unknown Content-Type, 400 undecodable payload, 200 + empty
 ExportXServiceResponse (pb) / ``{}`` (JSON) on success.
 
 Scale shape: one listener (with its own spool receiver id) per ingest
-endpoint; spool file names are receiver-id-prefixed so any number of
+endpoint; spool segment names are receiver-id-prefixed so any number of
 listeners share one spool directory without collisions. The listener
 holds the actor handle for its lifetime (a named non-detached actor
 dies when the last handle drops — CLAUDE.md).
@@ -277,7 +279,7 @@ class OtlpHttpListener:
                 )
             except Exception as e:  # undecodable wire bytes
                 return self._refuse(h, 400, f"cannot decode request: {e}")
-            # durable=True: the 200 ack means fsynced spool parquet —
+            # durable=True: the 200 ack means a fsynced spool segment —
             # the reference's ack-after-acceptance contract (an empty
             # Export acks immediately: nothing to land)
             if flat is not None and len(flat):

@@ -4,32 +4,54 @@ Reference: the OTLP receiver is a live gRPC/HTTP server whose Export
 handler pushes each request down the consumer chain and acks only after
 acceptance (receiver/otlpreceiver/otlp.go:93-172). A batch engine has
 no long-lived server, so the bridge is: a **spool-receiver actor** that
-accepts pushed row batches, buffers to a size threshold, and lands each
-micro-batch as an ATOMIC parquet spool file (tmp + fsync + rename, the
-same torn-write discipline as the checkpoint sinks); the existing
-poll/checkpoint path (``state.tailer.tail_run`` →
+accepts pushed row batches and lands them in parquet **spool segments**;
+the existing poll/checkpoint path (``state.tailer.tail_run`` →
 ``state.checkpoint.run_partitioned``) then processes the spool with
 per-partition ledger exactly-once.
 
-Delivery contract (mirrors the reference's queue+storage stack,
-persistent_storage.go:29-50): by default ``export`` acks after the rows
-are in the actor buffer — an actor crash before the next land loses
-up-to-one buffer of acked rows, a WEAKER window than the reference's
+Segments (the reference's persistent queue likewise keeps items in a
+few storage extents, persistent_storage.go:29-50): each receiver has one
+**open segment**, ``{receiver_id}-{seq:08d}.parquet``. Accepted rows
+append to its in-memory tables; publishing it rewrites the whole
+segment under its fixed name — write a tmp file, fsync it, rename it
+over the segment, fsync the spool directory. Once the segment holds
+``SEGMENT_ROWS`` rows (or on ``flush`` / the non-durable buffer
+threshold) it is **sealed**: ``seq`` moves on and the file is never
+written again. A drain thus reads a few segments, not one file per
+request (above 24 files ``ray.data.read_parquet`` moves footer fetching
+into Ray tasks — see CLAUDE.md).
+
+Delivery contract: by default ``export`` acks after the rows are in the
+actor buffer — an actor crash before the next publish loses up-to-one
+buffer of acked rows, a WEAKER window than the reference's
 ack-after-acceptance, so clients must re-push since their last durable
 ack on receiver restart (at-least-once; a retried acked export
 duplicates, same as OTLP). ``export(..., durable=True)`` and ``flush``
-ack only after the spool file is durable — the reference's contract,
-at a per-push fsync cost. From the spool onward the ledger makes
-processing exactly-once across crash/resume: a landed spool file is
-processed by exactly one completed partition regardless of how many
-times the run is killed and resumed.
+ack only after the segment holding the rows is durable — the
+reference's contract, at a per-push rewrite + fsync cost. A crash
+leaves the last published version of the open segment, which holds
+every acked row; the restarted receiver continues at ``max(seq) + 1``
+and never writes that segment again. From the spool onward the ledger
+makes processing exactly-once: a landed segment is processed by
+exactly one completed partition regardless of how many times the run
+is killed and resumed (an open segment that grew since its partition
+ran drifts and is reprocessed whole).
+
+Consumer rule: a consumer may delete SEALED segments at any time (every
+segment except ``stats()["open_segment"]``). Deleting the open segment
+is detected — before republishing, the receiver checks that the file
+still has the ``(st_ino, st_size)`` of its last publish, and if not it
+seals the segment and starts a fresh one with only the new rows, so
+deleted rows are never resurrected — but it is unsafe while a durable
+export is in flight: a delete between that check and the rename would
+bring the consumed rows back.
 
 The actor is num_cpus=0 (it only buffers and writes); at cluster scale
 run one receiver actor per ingest endpoint and let them share a spool
-directory — spool file names are ``{receiver_id}-{seq:08d}.parquet``,
-so concurrent receivers never collide. The caller must HOLD the actor
-handle for the run's lifetime (a named, non-detached Ray actor dies
-when its last handle drops — see CLAUDE.md).
+directory — segment names are receiver-id-prefixed, so concurrent
+receivers never collide. The caller must HOLD the actor handle for the
+run's lifetime (a named, non-detached Ray actor dies when its last
+handle drops — see CLAUDE.md).
 """
 
 from __future__ import annotations
@@ -40,10 +62,22 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+# rows at which the open segment is sealed: 64k acked rows of 256-row
+# requests then sit in 16 files, under read_parquet's 24-file threshold
+SEGMENT_ROWS = 4096
+
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
 
 @ray.remote(num_cpus=0)
 class SpoolReceiverActor:
-    """Buffer pushed rows; land atomic parquet micro-batches."""
+    """Buffer pushed rows; publish them into atomic parquet segments."""
 
     def __init__(
         self,
@@ -56,8 +90,11 @@ class SpoolReceiverActor:
         self.spool_dir = spool_dir
         self.receiver_id = receiver_id
         self.max_buffer_rows = max_buffer_rows
-        self.buf: list[pa.Table] = []
+        self.seg: list[pa.Table] = []  # open segment rows already published
+        self.seg_rows = 0
+        self.buf: list[pa.Table] = []  # accepted rows not yet published
         self.buffered_rows = 0
+        self.published: tuple[int, int] | None = None  # (st_ino, st_size)
         self.accepted = 0
         self.landed_files = 0
         # crash-safe restart: continue the sequence after existing spool
@@ -75,25 +112,18 @@ class SpoolReceiverActor:
 
     def export(self, rows: list[dict], durable: bool = False) -> int:
         """Push a batch of row dicts (the Export RPC shape). Acks the
-        cumulative accepted count; lands a spool file when the buffer
-        crosses the threshold.
+        cumulative accepted count.
 
         Ack contract (persistent_storage.go:29-50 parity): with the
-        default ``durable=False`` the ack means *buffered* — an actor
-        crash before the next ``_land()`` loses up-to-one buffer of
-        acked rows, so clients wanting reference semantics must either
-        re-push everything since their last durable ``flush()`` ack on
-        receiver restart, or pass ``durable=True`` to land
-        synchronously before the ack (ack = on disk, exactly the
-        reference's queue+storage acceptance — at a per-push fsync
-        cost; amortize with larger pushes)."""
-        if rows:
-            self.buf.append(pa.Table.from_pylist(rows))
-            self.buffered_rows += len(rows)
-            self.accepted += len(rows)
-        if durable or self.buffered_rows >= self.max_buffer_rows:
-            self._land()
-        return self.accepted
+        default ``durable=False`` the ack means *buffered* — the rows
+        are published once the buffer crosses ``max_buffer_rows`` or on
+        ``flush()``, and an actor crash before that loses them, so
+        clients wanting reference semantics must either re-push
+        everything since their last durable ack on receiver restart,
+        or pass ``durable=True``: the open segment, these rows
+        included, is republished before the ack (ack = on disk, exactly
+        the reference's queue+storage acceptance)."""
+        return self.export_table(pa.Table.from_pylist(rows), durable)
 
     def export_table(self, table: pa.Table, durable: bool = False) -> int:
         """Arrow-native push (zero object-store copies on the way in).
@@ -102,14 +132,21 @@ class SpoolReceiverActor:
             self.buf.append(table)
             self.buffered_rows += len(table)
             self.accepted += len(table)
-        if durable or self.buffered_rows >= self.max_buffer_rows:
-            self._land()
+        if durable:
+            self._publish()
+            if self.seg_rows >= SEGMENT_ROWS:
+                self._seal()
+        elif self.buffered_rows >= self.max_buffer_rows:
+            self.flush()
         return self.accepted
 
     def flush(self) -> str | None:
-        """Land the current buffer; returns the spool file path (None
-        when the buffer is empty). Ack = the file is durable."""
-        return self._land()
+        """Publish and seal the open segment; returns its path (None
+        when nothing was waiting to be published). Ack = the segment is
+        durable."""
+        path = self._publish()
+        self._seal()
+        return path
 
     def stats(self) -> dict:
         return {
@@ -117,23 +154,42 @@ class SpoolReceiverActor:
             "buffered_rows": self.buffered_rows,
             "landed_files": self.landed_files,
             "next_seq": self.seq,
+            "open_segment": self._path(),
         }
 
-    def _land(self) -> str | None:
+    def _path(self) -> str:
+        return os.path.join(self.spool_dir, f"{self.receiver_id}-{self.seq:08d}.parquet")
+
+    def _seal(self) -> None:
+        if self.seg_rows:
+            self.seq += 1
+        self.seg, self.seg_rows, self.published = [], 0, None
+
+    def _publish(self) -> str | None:
         if not self.buffered_rows:
             return None
-        table = pa.concat_tables(self.buf, promote_options="default")
-        name = f"{self.receiver_id}-{self.seq:08d}.parquet"
+        if self.published is not None:
+            try:
+                st = os.stat(self._path())
+                intact = (st.st_ino, st.st_size) == self.published
+            except FileNotFoundError:
+                intact = False
+            if not intact:  # consumed or replaced: never resurrect it
+                self._seal()
+        if self.published is None:
+            self.landed_files += 1
+        final = self._path()
+        table = pa.concat_tables(self.seg + self.buf, promote_options="default")
         tmp = os.path.join(self.spool_dir, f".tmp-{self.receiver_id}-{self.seq}")
-        final = os.path.join(self.spool_dir, name)
         pq.write_table(table, tmp)
         with open(tmp, "rb") as f:
             os.fsync(f.fileno())
         os.rename(tmp, final)
-        self.seq += 1
-        self.landed_files += 1
-        self.buf = []
-        self.buffered_rows = 0
+        _fsync_dir(self.spool_dir)
+        st = os.stat(final)
+        self.published = (st.st_ino, st.st_size)
+        self.seg, self.seg_rows = [table], len(table)
+        self.buf, self.buffered_rows = [], 0
         return final
 
 

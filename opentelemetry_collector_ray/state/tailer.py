@@ -10,6 +10,13 @@ ledger means each tick processes exactly the partitions whose input set
 changed (new or rewritten shards), nothing else. Atomic per-partition
 swaps keep every tick's output consistent for concurrent readers.
 
+Tailing a receiver spool (``state.receiver``): the open segment is
+republished under the same name as durable pushes arrive, so the
+partition that holds it drifts and reprocesses whole on every tick
+while the segment grows; once sealed it is processed one last time.
+The ledger keys an input as it was before its partition ran, so rows
+published during a tick are picked up by the next one.
+
 Termination: a sentinel file (``stop_file``) — the batch stand-in for
 SIGTERM-triggered drain (service shutdown, graph.go:302-322): the loop
 runs one final tick after seeing the sentinel so everything that

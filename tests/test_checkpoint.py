@@ -144,6 +144,41 @@ def test_rewritten_shard_triggers_drift(corpus, tmp_path):
     assert res["processed"] == len(changed)
 
 
+def test_input_rewritten_during_partition_reprocesses(tmp_path):
+    """The ledger records the inputs' keys as they were BEFORE the
+    partition ran. An input that grows while its partition is being
+    processed (an open spool segment republished mid-drain) drifts on
+    the next run; its new rows land exactly once."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(pa.table({"event_id": list(range(10))}), a)
+    pq.write_table(pa.table({"event_id": list(range(10, 20))}), b)
+    grown = pa.table({"event_id": list(range(10)) + list(range(100, 105))})
+    rewrites = []
+
+    def pipeline(paths):
+        ds = ray.data.read_parquet(paths).materialize()
+        if not rewrites:  # grows once, after its old content was read
+            pq.write_table(grown, a + ".tmp")
+            os.replace(a + ".tmp", a)
+            rewrites.append(a)
+        return ds
+
+    out = str(tmp_path / "out")
+    first = run_partitioned([a, b], out, pipeline, num_partitions=1)
+    assert rewrites and first["total_rows"] == 20
+    res = run_partitioned([a, b], out, pipeline, num_partitions=1)
+    assert res["processed"] == 1 and res["total_rows"] == 25
+    got = ray.data.read_parquet(glob.glob(out + "/part-*/*.parquet"))
+    want = list(range(20)) + list(range(100, 105))
+    assert sorted(got.to_pandas()["event_id"]) == want
+
+
 def test_retry_predicate_matches_distributed_io_failures():
     """OSErrors raised inside Ray tasks arrive wrapped (RayTaskError);
     the checkpoint retry predicate must still classify them retryable —

@@ -17,6 +17,7 @@ import sys
 import urllib.request
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data
@@ -61,6 +62,12 @@ def _post_subprocess(url, payload_path, ctype, encoding=None):
     return int(out.stdout.strip())
 
 
+def _footer_rows(spool: str) -> int:
+    return sum(
+        pq.read_metadata(f).num_rows for f in glob.glob(spool + "/*.parquet")
+    )
+
+
 def _request_row(n_rows: int = 192):
     """One real ExportLogsServiceRequest tree from sf0.001 transcripts."""
     t = pa.Table.from_pandas(
@@ -94,19 +101,19 @@ def test_http_listener_end_to_end(tmp_path):
         p_js = tmp_path / "req.json"
         p_js.write_bytes(json_body)
 
-        assert _post_subprocess(url, p_pb, "application/x-protobuf") == 200
-        assert (
-            _post_subprocess(
-                url, p_gz, "application/x-protobuf", encoding="gzip"
-            )
-            == 200
-        )
-        assert _post_subprocess(url, p_js, "application/json") == 200
-
         # ack contract: durable=True means the rows are ALREADY landed
-        # (no flush needed) — 3 requests, one spool file each
+        # (no flush needed) — after every 200, the spool's parquet
+        # footers hold exactly the rows acked so far
+        per_request = flatten_otlp_batch(nested).num_rows
+        posts = (
+            (p_pb, "application/x-protobuf", None),
+            (p_gz, "application/x-protobuf", "gzip"),
+            (p_js, "application/json", None),
+        )
+        for k, (path, ctype, enc) in enumerate(posts, 1):
+            assert _post_subprocess(url, path, ctype, encoding=enc) == 200
+            assert _footer_rows(spool) == k * per_request
         files = sorted(glob.glob(spool + "/*.parquet"))
-        assert len(files) == 3
 
         out = str(tmp_path / "out")
         run_partitioned(

@@ -168,6 +168,33 @@ def test_restart_interval_decode():
     assert np.array_equal(dec, np.repeat(exp[:, :, None], 3, axis=2))
 
 
+def test_fill_bytes_before_markers_decode_identically():
+    """T.81 B.1.1.2: any marker may be preceded by 0xFF fill bytes.
+    Padding before header markers, before RSTn and before EOI decodes
+    to the same pixels as the unpadded stream."""
+    img = np.random.default_rng(3).integers(0, 256, (16, 24), dtype=np.uint8)
+    base = encode_jpeg(img, quality=75)
+    want = decode_jpeg(base)
+    padded = base[:2] + b"\xff\xff\xff" + base[2:]  # before the first DQT
+    sos = padded.index(b"\xff\xda")
+    padded = padded[:sos] + b"\xff" + padded[sos:]
+    padded = padded[:-2] + b"\xff\xff" + padded[-2:]  # before EOI
+    assert np.array_equal(decode_jpeg(padded), want)
+
+    vals = [40, 220, 100]
+    out = _headers(8, 24, [(1, 0x11, 0)], dri=1)
+    dc_l, ac_l = _canonical_codes(*_DC_LUMA), _canonical_codes(*_AC_LUMA)
+    for k, v in enumerate(vals):
+        bw = _BitWriter()
+        _write_dc_only_block(bw, dc_l, ac_l, (v - 128) // 2)
+        out += bw.flush()
+        if k < len(vals) - 1:
+            out += bytes([0xFF, 0xFF, 0xD0 + k])  # fill byte, then RSTn
+    dec = decode_jpeg(bytes(out) + b"\xff\xd9")
+    for k, v in enumerate(vals):
+        assert (dec[:, k * 8 : k * 8 + 8] == v).all()
+
+
 def test_unsupported_variants_raise_honestly():
     """Progressive / 16-bit-quant / truncated streams raise ValueError
     (→ the per-payload gate upstream), never a wrong decode."""

@@ -128,3 +128,143 @@ def test_durable_export_acks_after_landing(tmp_path):
     assert got == 5
     stats = ray.get(actor.stats.remote())
     assert stats["buffered_rows"] == 0 and stats["landed_files"] == 1
+
+
+def _footer_rows(spool):
+    import pyarrow.parquet as pq
+
+    return sum(
+        pq.read_metadata(f).num_rows for f in glob.glob(spool + "/*.parquet")
+    )
+
+
+def _spooled_ids(spool):
+    import pyarrow.parquet as pq
+
+    files = sorted(glob.glob(spool + "/*.parquet"))
+    return sorted(pq.read_table(files)["event_id"].to_pylist()) if files else []
+
+
+def test_open_segment_holds_every_acked_row(tmp_path):
+    """Each durable 256-row ack republishes the open segment: after
+    every ack the footers on disk count exactly the rows acked so far,
+    nothing stays buffered, and stats names the one (open) segment."""
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool)
+    for k in range(1, 6):
+        acked = ray.get(actor.export.remote(_rows(256 * (k - 1), 256 * k), True))
+        assert acked == 256 * k == _footer_rows(spool)
+        st = ray.get(actor.stats.remote())
+        assert st["buffered_rows"] == 0
+        assert glob.glob(spool + "/*.parquet") == [st["open_segment"]]
+    assert _spooled_ids(spool) == list(range(256 * 5))
+    assert not glob.glob(spool + "/.tmp-*")
+
+
+def test_segment_seals_at_segment_rows(tmp_path):
+    """SEGMENT_ROWS // 256 + 1 exports of 256 rows fill one segment,
+    seal it and open a second: two files, the sealed one full."""
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.state.receiver import SEGMENT_ROWS
+
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool)
+    n = SEGMENT_ROWS // 256 + 1
+    for k in range(n):
+        ray.get(actor.export.remote(_rows(256 * k, 256 * (k + 1)), True))
+    files = sorted(glob.glob(spool + "/*.parquet"))
+    assert [os.path.basename(f) for f in files] == [
+        "r0-00000000.parquet", "r0-00000001.parquet"
+    ]
+    assert pq.read_metadata(files[0]).num_rows == SEGMENT_ROWS
+    st = ray.get(actor.stats.remote())
+    assert st["open_segment"] == files[1] and st["landed_files"] == 2
+    assert _spooled_ids(spool) == list(range(256 * n))
+
+
+def test_consumed_open_segment_is_not_resurrected(tmp_path):
+    """A consumer that deletes (or replaces) the open segment between
+    acks: the next durable export starts a fresh segment holding only
+    its own rows — the consumed rows never come back."""
+    import pyarrow.parquet as pq
+
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool)
+    ray.get(actor.export.remote(_rows(0, 100), True))
+    first = ray.get(actor.stats.remote())["open_segment"]
+    os.unlink(first)  # drained and deleted
+    ray.get(actor.export.remote(_rows(100, 150), True))
+    assert not os.path.exists(first)
+    assert _spooled_ids(spool) == list(range(100, 150))
+
+    second = ray.get(actor.stats.remote())["open_segment"]
+    assert second != first
+    # replaced by a different file under the same name (new inode)
+    pq.write_table(pa.table({"event_id": [-1], "val": ["x"]}), second + ".x")
+    os.replace(second + ".x", second)
+    ray.get(actor.export.remote(_rows(150, 160), True))
+    assert _spooled_ids(spool) == [-1] + list(range(150, 160))
+    assert ray.get(actor.stats.remote())["accepted"] == 160
+
+
+def test_kill_after_durable_ack_loses_and_duplicates_nothing(tmp_path):
+    """ray.kill right after a durable ack, then a restart: the last
+    published version of the open segment holds every acked row, the
+    new incarnation continues in a new segment, and a torn tmp left by
+    the dead one is cleaned."""
+    spool = str(tmp_path / "spool")
+    a1 = SpoolReceiverActor.remote(spool)
+    for k in range(3):
+        ray.get(a1.export.remote(_rows(100 * k, 100 * (k + 1)), True))
+    ray.kill(a1)
+    open(os.path.join(spool, ".tmp-r0-0"), "w").write("torn")
+    assert _spooled_ids(spool) == list(range(300))
+    a2 = SpoolReceiverActor.remote(spool)
+    ray.get(a2.export.remote(_rows(300, 350), True))
+    assert _spooled_ids(spool) == list(range(350))
+    names = sorted(os.listdir(spool))
+    assert names == ["r0-00000000.parquet", "r0-00000001.parquet"]
+
+
+def test_durable_export_publishes_earlier_buffered_rows(tmp_path):
+    """A non-durable export followed by a durable one: the durable ack
+    publishes both (the buffered rows share the open segment)."""
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool, max_buffer_rows=10_000)
+    ray.get(actor.export.remote(_rows(0, 40)))
+    assert _footer_rows(spool) == 0
+    assert ray.get(actor.stats.remote())["buffered_rows"] == 40
+    ray.get(actor.export.remote(_rows(40, 60), True))
+    assert _spooled_ids(spool) == list(range(60))
+    assert ray.get(actor.stats.remote())["buffered_rows"] == 0
+
+
+def test_durable_publish_order(tmp_path, monkeypatch):
+    """Every durable ack follows: tmp written, tmp fsynced, renamed over
+    the segment, spool directory fsynced — in that order."""
+    from opentelemetry_collector_ray.state import receiver
+
+    spool = str(tmp_path / "spool")
+    rec = receiver.SpoolReceiverActor.__ray_actor_class__(spool)
+    log = []
+    real_fsync, real_rename = os.fsync, os.rename
+
+    def fsync(fd):
+        log.append(("fsync", os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))))
+        real_fsync(fd)
+
+    def rename(src, dst):
+        log.append(("rename", os.path.basename(src), os.path.basename(dst)))
+        real_rename(src, dst)
+
+    monkeypatch.setattr(receiver.os, "fsync", fsync)
+    monkeypatch.setattr(receiver.os, "rename", rename)
+    for k in range(2):
+        log.clear()
+        rec.export_table(pa.table({"event_id": [k]}), durable=True)
+        assert log == [
+            ("fsync", ".tmp-r0-0"),
+            ("rename", ".tmp-r0-0", "r0-00000000.parquet"),
+            ("fsync", "spool"),
+        ]

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
 
 from opentelemetry_collector_ray.functions.sketch import HLL, _hash64, approx_distinct
@@ -75,6 +76,23 @@ def test_heavy_hitters_exact_when_k_exceeds_cardinality():
     assert len(out) == 7
     for _, row in out.iterrows():
         assert row["est_count"] == int(true[row["item"]])
+
+
+def test_heavy_hitters_query_refuses_cardinality_above_k(tmp_path):
+    """The `heavy_hitters` query's exact oracle holds only while the
+    user cardinality stays under k=512: above it the query raises
+    instead of returning estimates the oracle would hash-mismatch."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as em
+
+    users = np.r_[np.arange(600), np.zeros(400, dtype=np.int64)]
+    pq.write_table(
+        pa.table({"user_id": users.astype(np.int64)}),
+        tmp_path / "events.parquet",
+    )
+    with pytest.raises(ValueError, match="cardinality exceeds k=512"):
+        em.queries()["heavy_hitters"](str(tmp_path))
 
 
 def test_bloom_no_false_negatives_and_low_fp_rate():
