@@ -192,12 +192,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "profile":
-        import ray.data
-
         from .functions.profile import profile_dataset
+        from .sources.parquet import read_parquet
 
         cols = [c.strip() for c in args.columns.split(",") if c.strip()]
-        ds = ray.data.read_parquet(args.path, columns=cols)
+        ds = read_parquet(args.path, columns=cols)
         out = profile_dataset(ds, cols)
         print(json.dumps(out.to_dict(orient="records"), default=str))
         return 0

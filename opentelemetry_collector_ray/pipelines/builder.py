@@ -22,6 +22,7 @@ from collections.abc import Callable
 
 import ray.data
 
+from ..sources.parquet import read_parquet
 from ..state import metrics as _metrics
 from .config import ConfigError, PipelineConfig, load_config
 
@@ -226,7 +227,7 @@ def build_source(cfg: PipelineConfig) -> ray.data.Dataset:
             fs, _ = wirefs.resolve_fs(paths[0], None, src.storage_options)
             kwargs["filesystem"] = fs
             paths = [wirefs.strip_scheme(p) for p in paths]
-        return ray.data.read_parquet(paths, **kwargs)
+        return read_parquet(paths, **kwargs)
     if src.type == "events_transcripts":
         from ..sources.transcripts import transcripts_from_events
 

@@ -72,6 +72,11 @@ def run_logs_pipeline(
     fanout never copies blocks, and each sink directory is independently
     re-readable (resumable layout).
 
+    ``read_transcripts`` sizes the read to the cluster, so the read,
+    the stages and the write fuse into one task per read task: two
+    shards on one CPU run as 2 tasks and land 10 files (one per shard
+    per sink), not 70 from Ray's split default read.
+
     ``counters`` holds this call's obsreport numbers, built on the
     driver: a named counter actor dies with its last handle at return,
     so each call would pay a fresh worker-process start for a snapshot

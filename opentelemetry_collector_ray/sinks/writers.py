@@ -29,6 +29,8 @@ import pyarrow.dataset as pads
 import pyarrow.fs as pafs
 import ray.data
 
+from ..sources.parquet import read_parquet
+
 logger = logging.getLogger(__name__)
 
 
@@ -274,7 +276,8 @@ def compact_parquet_dir(
             if "=" in d and os.path.isdir(os.path.join(path, d))
         }
     )
-    ds = ray.data.read_parquet(path, **read_kwargs)
+    # the directory goes to Ray unchanged so hive discovery still works
+    ds = read_parquet(path, **read_kwargs)
     write_kwargs = {"min_rows_per_file": min_rows_per_file}
     if part_cols:
         write_kwargs["partition_cols"] = part_cols

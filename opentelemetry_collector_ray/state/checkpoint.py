@@ -12,10 +12,15 @@ work is an **input partition** (a deterministic group of input files —
 hash-stable, parallelism-independent). For each partition:
 
 1. run the pipeline on just that partition's files,
-2. write its sink output to a temp dir, fsync, then **atomically
-   rename** to ``part-{pid}``,
+2. write its sink output to a temp dir, then **atomically rename** it
+   to ``part-{pid}``,
 3. append a ledger record ``(partition_id, inputs, rows, status)`` to
-   ``ledger.jsonl``.
+   ``ledger.jsonl`` and fsync the ledger.
+
+Only the ledger line is fsynced: neither the partition's files nor
+the directory holding the rename are, so a power loss after the
+ledger append can leave a ledgered partition incomplete on disk. The
+shared durable publish (ROADMAP open item 2) is the fix.
 
 Resume = replay the same plan: ledger-complete partitions are skipped
 (their outputs are already final); a partition directory present but

@@ -92,11 +92,10 @@ class ConfigWatcher:
         return True
 
     def __call__(self, files):
-        import ray.data
-
         from ..pipelines.builder import _apply_stages
+        from ..sources.parquet import read_parquet
 
-        ds = ray.data.read_parquet(
+        ds = read_parquet(
             files, columns=self.cfg.source.columns or None
         )
         return _apply_stages(ds, self.cfg)

@@ -1,0 +1,181 @@
+"""Read sizing (sources/parquet.py): read tasks = max(2 × cluster CPUs,
+⌈estimated in-memory bytes / target_max_block_size⌉), passed to
+``ray.data.read_parquet`` as ``override_num_blocks``."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data
+
+from opentelemetry_collector_ray.fixtures import gen_transcripts
+from opentelemetry_collector_ray.sources import parquet
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(parquet.ray, "cluster_resources", lambda: {"CPU": 1.0})
+
+
+@pytest.fixture
+def read_spy(monkeypatch):
+    """Record the kwargs ``ray.data.read_parquet`` is called with."""
+    calls = []
+
+    def spy(paths, **kwargs):
+        calls.append((paths, kwargs))
+        return "dataset"
+
+    monkeypatch.setattr(parquet.ray.data, "read_parquet", spy)
+    return calls
+
+
+def _small_files(tmp_path, n=2):
+    paths = []
+    for i in range(n):
+        p = str(tmp_path / f"part-{i}.parquet")
+        pq.write_table(pa.table({"x": list(range(100))}), p)
+        paths.append(p)
+    return paths
+
+
+def test_one_cpu_two_small_files_give_two(tmp_path, one_cpu, read_spy):
+    paths = _small_files(tmp_path)
+    assert parquet.read_tasks(paths) == 2
+    parquet.read_parquet(paths, columns=["x"])
+    assert read_spy == [(paths, {"columns": ["x"], "override_num_blocks": 2})]
+
+
+def test_one_cpu_ten_gb_gives_size_term(monkeypatch, one_cpu):
+    on_disk = 10 * 10**9
+    monkeypatch.setattr(parquet, "_on_disk_bytes", lambda paths, fs=None: on_disk)
+    target = ray.data.DataContext.get_current().target_max_block_size
+    want = -(-on_disk * parquet.ENCODING_RATIO // target)
+    assert want > 2
+    assert parquet.read_tasks(["/data/big.parquet"]) == want
+
+
+def test_explicit_blocks_pass_through(tmp_path, one_cpu, read_spy):
+    paths = _small_files(tmp_path)
+    parquet.read_parquet(paths, override_num_blocks=7)
+    parquet.read_parquet(paths, parallelism=5)
+    assert read_spy == [
+        (paths, {"override_num_blocks": 7}),
+        (paths, {"parallelism": 5}),
+    ]
+
+
+def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, read_spy):
+    d = tmp_path / "sink"
+    (d / "sink=a").mkdir(parents=True)
+    pq.write_table(pa.table({"x": list(range(1000))}), str(d / "sink=a" / "f.parquet"))
+    pq.write_table(pa.table({"x": list(range(10))}), str(d / "g.parquet"))
+    (d / "notes.txt").write_bytes(b"x" * 10_000)
+    want = os.path.getsize(d / "sink=a" / "f.parquet") + os.path.getsize(d / "g.parquet")
+    assert parquet._on_disk_bytes(str(d)) == want
+    # one target block of in-memory data per 2 on-disk bytes → size term
+    monkeypatch.setattr(
+        ray.data.DataContext.get_current(), "target_max_block_size",
+        parquet.ENCODING_RATIO * 2,
+    )
+    parquet.read_parquet(str(d))
+    # the directory goes to Ray unchanged (hive discovery)
+    assert read_spy == [(str(d), {"override_num_blocks": -(-want // 2)})]
+
+
+def test_unknown_size_gives_no_override(tmp_path, one_cpu, read_spy):
+    missing = [str(tmp_path / "missing.parquet")]
+    assert parquet.read_tasks(missing) is None
+    assert parquet.read_tasks(["s3://bucket/part-0.parquet"]) is None
+    parquet.read_parquet(missing)
+    assert read_spy == [(missing, {})]
+
+
+def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
+    paths = _small_files(tmp_path)
+    monkeypatch.setattr(parquet.ray, "is_initialized", lambda: False)
+
+    def no_cluster():
+        raise RuntimeError("Ray has not been started yet")
+
+    monkeypatch.setattr(parquet.ray, "cluster_resources", no_cluster)
+    assert parquet.read_tasks(paths) is None
+    parquet.read_parquet(paths)
+    assert read_spy == [(paths, {})]
+
+
+def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
+    """At num_cpus=1, run_logs_pipeline over two shards that Ray's
+    default read would split runs as one ReadParquet->…->Write operator
+    with one task per shard, lands 2 × |sinks| files, and counts the
+    same per sink as a read at Ray's default parallelism."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    paths, mem = [], 0
+    for f in range(2):
+        t = gen_transcripts(3000, start_conv=f * 3000)
+        p = str(corpus / f"part-{f}.parquet")
+        pq.write_table(t, p)
+        paths.append(p)
+        mem += t.nbytes
+    assert mem >= 4 * 1024 * 1024
+    out = str(tmp_path / "out")
+    code = textwrap.dedent(
+        f"""
+        import glob, json, sys
+        sys.path.insert(0, {REPO!r})
+        import ray
+        ray.init(address="local", num_cpus=1,
+                 include_dashboard=False, logging_level="ERROR")
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        import __ray_entry__  # pickle-by-value registration
+        from opentelemetry_collector_ray.pipelines import logs
+        from opentelemetry_collector_ray.sinks import writers
+        from opentelemetry_collector_ray.stages.enrich import enrich_batch
+        from opentelemetry_collector_ray.stages.parse import parse_batch
+
+        written = []
+        real = writers.atomic_write_parquet
+
+        def spy(ds, *args, **kwargs):
+            written.append(ds)
+            return real(ds, *args, **kwargs)
+
+        writers.atomic_write_parquet = spy
+        paths = {paths!r}
+        res = logs.run_logs_pipeline(paths, {out!r})
+        ops = [l for l in written[0].stats().splitlines() if l.startswith("Operator")]
+        default = ray.data.read_parquet(paths)
+        ref = logs.sink_counts(
+            default.map_batches(parse_batch, batch_format="pyarrow")
+            .map_batches(enrich_batch, batch_format="pyarrow")
+        )
+        print(json.dumps({{
+            "per_sink": res["per_sink"],
+            "files": len(glob.glob({out!r} + "/**/*.parquet", recursive=True)),
+            "ops": ops,
+            "default_blocks": default.materialize().num_blocks(),
+            "ref": {{str(s): int(n) for s, n in zip(ref["sink"], ref["n"])}},
+        }}))
+        ray.shutdown()
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["default_blocks"] > len(paths)  # Ray's default splits this corpus
+    assert got["files"] == 2 * len(got["per_sink"])
+    assert got["per_sink"] == got["ref"]
+    assert len(got["ops"]) == 1, got["ops"]
+    assert "ReadParquet->" in got["ops"][0] and "->Write" in got["ops"][0]
