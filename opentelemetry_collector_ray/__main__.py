@@ -202,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "resume":
+        from .pipelines.builder import map_stages
         from .sources.transcripts import read_transcripts
         from .stages.enrich import enrich_batch
         from .stages.parse import parse_batch
@@ -214,10 +215,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
         def pipeline(paths):
-            ds = read_transcripts(paths)
-            ds = ds.map_batches(parse_batch, batch_format="pyarrow")
-            ds = ds.map_batches(enrich_batch, batch_format="pyarrow")
-            return ds.map_batches(explode_sinks_batch, batch_format="pyarrow")
+            return map_stages(
+                read_transcripts(paths),
+                [parse_batch, enrich_batch, explode_sinks_batch],
+            )
 
         report = run_partitioned(
             files, args.out_dir, pipeline, num_partitions=args.partitions

@@ -8,9 +8,20 @@ builder is a fold over the stage registry (no capabilities node — Arrow
 blocks are immutable; no reverse-topo — datasets are lazy, composition
 order is declaration order).
 
+A pipeline's processors are one synchronous consumer chain in the
+reference (docs/design.md:77, processorhelper/logs.go:40-82). Here each
+run of consecutive batch stages compiles to ONE :class:`StageChain`
+applied by one ``map_batches`` of plain Ray tasks, so the read, the
+stages and the sink write fuse into one task per block. Only the
+dataset-level ``rebatch`` stage splits a run. No stage gets its own
+actor pool: at one CPU, two pools plus the read tasks starve the
+scheduler (20 s a pass against 0.41 s as one task chain).
+
 ``STAGE_REGISTRY`` is the factory table (the ``otelcol.Factories``
 analogue, otelcol/factories.go / receiver/receiver.go:69-94): stage
-type name → builder ``(options) -> batch_fn | (cls, ctor_kwargs)``.
+type name → builder ``(options) -> batch callable``, where the callable
+(a function or a constructed instance) maps ``pa.Table -> pa.Table``.
+Builders run on the driver, so bad options fail before any Ray job.
 Users register custom stages with :func:`register_stage` — the
 processorhelper one-function extension point
 (processor/processorhelper/logs.go:40-82).
@@ -18,7 +29,9 @@ processorhelper one-function extension point
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+import os
+from collections.abc import Callable, Sequence
 
 import ray.data
 
@@ -27,86 +40,114 @@ from ..state import metrics as _metrics
 from .config import ConfigError, PipelineConfig, load_config
 
 
-class _CountedStage:
-    """Data-plane obsreport wrapper (obs_processor.go:24-33 names):
-    counts rows out as ``accepted`` and rows in minus rows out as
-    ``dropped`` per stage, via ONE fire-and-forget RPC per block to the
-    run's named counter actor (never awaited — no data-plane stall; the
-    actor is num_cpus=0). ``refused`` stays a structural zero in batch
-    mode (backpressure replaces refusal). Wraps either a plain batch fn
-    or a stage class (constructed once per actor, the stateful idiom).
-    Gated by ``engine.processorCounters`` — default off, so ungated
-    pipelines carry zero overhead."""
+class StageChain:
+    """One batch callable running ``stages`` in order on each batch.
 
-    def __init__(self, *, stage_name, run_id, fn=None, cls=None, kwargs=None):
-        import os
-
-        self.inner = fn if fn is not None else cls(**(kwargs or {}))
-        self.stage_name = stage_name
-        self.run_id = run_id
-        self._actors = None
-        # round-robin start varies per worker so shards load evenly
-        self._rr = os.getpid()
+    With ``run_id`` set (``engine.processorCounters``), it also records
+    the data-plane obsreport counts of each member stage (obs_processor.
+    go:24-33 names): rows out as ``accepted``, rows in minus rows out as
+    ``dropped``, and a ``batch_send_size`` bucket. The whole chain sends
+    ONE fire-and-forget ``add_many`` per block to the run's sharded
+    counter actors (never awaited — no data-plane stall; the actors are
+    num_cpus=0). ``refused`` stays a structural zero in batch mode
+    (backpressure replaces refusal). Without ``run_id`` the chain
+    carries no counting overhead."""
 
     # batch_send_size histogram bounds (processor/batchprocessor/
     # metrics.go:111-219 idiom: distribution of emitted batch sizes)
     SIZE_BOUNDS = (1024, 8192, 65536)
 
+    def __init__(
+        self,
+        stages: Sequence[Callable],
+        names: Sequence[str] = (),
+        run_id: str | None = None,
+    ):
+        self.stages = list(stages)
+        self.names = list(names)
+        self.run_id = run_id
+        self._shards = None
+
     def __call__(self, batch):
-        out = self.inner(batch)
-        if self._actors is None:
-            # SHARDED counter actors (one per ~16 cluster CPUs): a
-            # single actor takes one RPC per block from every counted
-            # stage — a hotspot on a wide cluster. Counts merge by sum
-            # at snapshot time, so any add may land on any shard.
-            self._actors = _metrics.get_metrics_shards(self.run_id)
-        updates = {
-            _metrics.processor_accepted(self.stage_name): len(out)
-        }
-        dropped = len(batch) - len(out)
-        if dropped > 0:
-            updates[_metrics.processor_dropped(self.stage_name)] = dropped
-        le = next(
-            (str(b) for b in self.SIZE_BOUNDS if len(out) <= b), "inf"
-        )
-        updates[f"processor/{self.stage_name}/batch_send_size/le_{le}"] = 1
-        self._rr = (self._rr + 1) % len(self._actors)
-        self._actors[self._rr].add_many.remote(updates)
-        return out
+        if self.run_id is None:
+            for stage in self.stages:
+                batch = stage(batch)
+            return batch
+        updates = {}
+        for name, stage in zip(self.names, self.stages):
+            n_in = len(batch)
+            batch = stage(batch)
+            n_out = len(batch)
+            updates[_metrics.processor_accepted(name)] = n_out
+            if n_in > n_out:
+                updates[_metrics.processor_dropped(name)] = n_in - n_out
+            le = next((str(b) for b in self.SIZE_BOUNDS if n_out <= b), "inf")
+            updates[f"processor/{name}/batch_send_size/le_{le}"] = 1
+        if self._shards is None:
+            # SHARDED counter actors (one per ~16 cluster CPUs) merge by
+            # sum at snapshot time, so any add may land on any shard; the
+            # round-robin start varies per worker so shards load evenly
+            self._shards = _metrics.get_metrics_shards(self.run_id)
+            self._rr = os.getpid()
+        self._rr = (self._rr + 1) % len(self._shards)
+        self._shards[self._rr].add_many.remote(updates)
+        return batch
+
+
+def map_stages(
+    ds: ray.data.Dataset,
+    stages: Sequence[Callable],
+    *,
+    names: Sequence[str] = (),
+    run_id: str | None = None,
+    **ray_remote_args,
+) -> ray.data.Dataset:
+    """Apply ``stages`` as one :class:`StageChain` in one
+    ``map_batches`` of plain tasks (operator ``MapBatches(StageChain)``)."""
+    return ds.map_batches(
+        StageChain(stages, names, run_id),
+        batch_format="pyarrow",
+        **ray_remote_args,
+    )
 
 
 def _build_parse(opts):
-    from ..stages.parse import GROK_PATTERN, ParseStage
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from ..stages.parse import GROK_PATTERN, parse_batch
 
     pattern = opts.get("pattern", GROK_PATTERN)
-    return (ParseStage, {"pattern": pattern})
+    try:
+        # RE2 compiles the pattern here, on the driver: a bad pattern
+        # fails the build instead of the first task
+        pc.extract_regex(pa.array([""], type=pa.string()), pattern)
+    except (pa.ArrowInvalid, TypeError) as e:
+        raise ConfigError(f"parse: bad pattern {pattern!r}: {e}") from e
+    return functools.partial(parse_batch, pattern=pattern)
 
 
 def _build_enrich(opts):
-    from ..stages.enrich import EnrichStage
+    from ..stages.enrich import enrich_batch
 
-    return (
-        EnrichStage,
-        {
-            "tool_service": opts.get("tool_service"),
-            "role_route": opts.get("role_route"),
-        },
-    )
+    dims = {
+        k: opts[k]
+        for k in ("tool_service", "role_route")
+        if opts.get(k) is not None
+    }
+    return functools.partial(enrich_batch, **dims)
 
 
 def _build_attributes(opts):
     from ..stages.attributes import AttributesStage
 
-    return (AttributesStage, {"actions": opts.get("actions", [])})
+    return AttributesStage(opts.get("actions", []))
 
 
 def _build_filter(opts):
     from ..stages.filters import FilterStage
 
-    return (
-        FilterStage,
-        {"include": opts.get("include"), "exclude": opts.get("exclude")},
-    )
+    return FilterStage(include=opts.get("include"), exclude=opts.get("exclude"))
 
 
 def _build_route(opts):
@@ -145,13 +186,10 @@ def _build_map_attributes(opts):
     #  actions: [{action: upsert, key: k, value: v}, ...]}
     from ..stages.maps import MapAttributesStage
 
-    return (
-        MapAttributesStage,
-        {
-            "column": opts.get("column", "attributes"),
-            "actions": opts.get("actions", []),
-            "from_json": opts.get("from_json"),
-        },
+    return MapAttributesStage(
+        column=opts.get("column", "attributes"),
+        actions=opts.get("actions", []),
+        from_json=opts.get("from_json"),
     )
 
 
@@ -181,7 +219,7 @@ def _build_memory_limiter(opts):
         kwargs["spike_limit_mib"] = float(opts["spike_limit_mib"])
     if "recovery_timeout_s" in opts:
         kwargs["recovery_timeout_s"] = float(opts["recovery_timeout_s"])
-    return MemoryLimiterStage, kwargs
+    return MemoryLimiterStage(**kwargs)
 
 
 STAGE_REGISTRY: dict[str, Callable] = {
@@ -203,7 +241,9 @@ STAGE_REGISTRY: dict[str, Callable] = {
 
 
 def register_stage(name: str, builder: Callable) -> None:
-    """Extension point: add a custom stage factory (factories idiom)."""
+    """Extension point: add a custom stage factory (factories idiom).
+    ``builder(options)`` runs on the driver and returns one batch
+    callable ``pa.Table -> pa.Table`` (a function or an instance)."""
     if name in STAGE_REGISTRY:
         raise ConfigError(f"stage type already registered: {name!r}")
     STAGE_REGISTRY[name] = builder
@@ -389,37 +429,16 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
     return report
 
 
-def _default_concurrency() -> tuple[int, int]:
-    """Actor-pool autoscale range for config-built stages: ceiling
-    tracks the CLUSTER's CPU count (floor 8 so tiny test sessions still
-    autoscale). A fixed ``(1, 8)`` ceiling — the round-2 default — is
-    invisible on a 32-core sandbox but caps every actor stage at 8
-    actors on a 256-node cluster and starves the pipeline."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return (1, max(8, cpus))
-
-
-def _stage_concurrency(opts: dict):
-    c = opts.get("concurrency")
-    if c is None:
-        return _default_concurrency()
-    return tuple(c) if isinstance(c, list) else c
-
-
 def _stage_remote_args(opts: dict, stage_type: str | None = None) -> dict:
     """Scheduler-side memory budget (memorylimiter parity, half 2 —
     see stages/memlimit.py): ``memory_mib`` on any stage becomes the
     Ray ``memory`` resource, so the scheduler reserves that heap per
-    actor/task and never co-locates more workers than the node holds.
+    task and never co-locates more workers than the node holds. A
+    stage group takes the largest ``memory_mib`` of its members.
 
-    (Refusal retryability is handled INSIDE MemoryLimiterStage — a
-    bounded wait-for-recovery — because Ray actor pools reject
-    ``retry_exceptions`` as a creation option and Ray Data exposes no
-    per-method retry surface; an unhandled refusal exception would
-    abort the whole pipeline, not backpressure it.)"""
+    (Refusal itself is a bounded wait-for-recovery INSIDE
+    MemoryLimiterStage, so it backpressures instead of aborting the
+    pipeline.)"""
     out: dict = {}
     mib = opts.get("memory_mib")
     if mib is not None:
@@ -433,13 +452,36 @@ def _apply_stages(
     *,
     counters_run_id: str | None = None,
 ) -> ray.data.Dataset:
+    """Fold the config's stages onto ``ds``: each run of consecutive
+    batch stages becomes one :func:`map_stages`; ``rebatch`` reshapes
+    blocks between runs."""
+    group: list[tuple[str, Callable, dict]] = []
+
+    def flush(ds):
+        if not group:
+            return ds
+        names, stages, opts = zip(*group)
+        group.clear()
+        mib = max(
+            (o["memory_mib"] for o in opts if o.get("memory_mib") is not None),
+            key=float,
+            default=None,
+        )
+        return map_stages(
+            ds,
+            stages,
+            names=names,
+            run_id=counters_run_id,
+            **_stage_remote_args({"memory_mib": mib}),
+        )
+
     seen: dict[str, int] = {}
     for st in cfg.stages:
         if st.type == "rebatch":
             from ..stages.batch import rebatch
 
             ds = rebatch(
-                ds,
+                flush(ds),
                 st.options.get("rows", 65536),
                 num_blocks=st.options.get("num_blocks"),
             )
@@ -449,55 +491,8 @@ def _apply_stages(
         # exact duplicates, this disambiguates type reuse)
         idx = seen[st.type] = seen.get(st.type, 0) + 1
         stage_name = st.type if idx == 1 else f"{st.type}#{idx}"
-        built = STAGE_REGISTRY[st.type](st.options)
-        if isinstance(built, tuple):
-            cls, kwargs = built
-            if counters_run_id is not None:
-                ds = ds.map_batches(
-                    _CountedStage,
-                    fn_constructor_kwargs={
-                        "stage_name": stage_name,
-                        "run_id": counters_run_id,
-                        "cls": cls,
-                        "kwargs": kwargs,
-                    },
-                    batch_format="pyarrow",
-                    batch_size=st.options.get("batch_size"),
-                    concurrency=_stage_concurrency(st.options),
-                    **_stage_remote_args(st.options, st.type),
-                )
-            else:
-                ds = ds.map_batches(
-                    cls,
-                    fn_constructor_kwargs=kwargs,
-                    batch_format="pyarrow",
-                    batch_size=st.options.get("batch_size"),
-                    concurrency=_stage_concurrency(st.options),
-                    **_stage_remote_args(st.options, st.type),
-                )
-        elif counters_run_id is not None:
-            ds = ds.map_batches(
-                _CountedStage,
-                fn_constructor_kwargs={
-                    "stage_name": stage_name,
-                    "run_id": counters_run_id,
-                    "fn": built,
-                },
-                batch_format="pyarrow",
-                batch_size=st.options.get("batch_size"),
-                concurrency=_stage_concurrency(st.options),
-                **_stage_remote_args(st.options, st.type),
-            )
-        else:
-            # plain-function stage, counters off: honor the per-stage
-            # batch_size knob here too (it was silently dropped)
-            ds = ds.map_batches(
-                built,
-                batch_format="pyarrow",
-                batch_size=st.options.get("batch_size"),
-                **_stage_remote_args(st.options, st.type),
-            )
-    return ds
+        group.append((stage_name, STAGE_REGISTRY[st.type](st.options), st.options))
+    return flush(ds)
 
 
 def build_dataset(cfg: PipelineConfig) -> ray.data.Dataset:

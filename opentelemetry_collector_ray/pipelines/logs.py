@@ -1,11 +1,11 @@
 """The flagship logs pipeline: parse → enrich → route → aggregate.
 
 The Ray restatement of the collector's one-pipeline steady state
-(SURVEY.md §3.1 step 5): receiver (parquet read) → processors
-(map_batches chain, the synchronous consumer chain of docs/design.md:77
-re-expressed as a streaming block pipeline) → fanout (route tagging) →
-exporters (per-sink partitioned parquet) → obsreport counters (per-sink
-counts from the written files' parquet footers).
+(SURVEY.md §3.1 step 5): receiver (parquet read) → processors (one
+``builder.StageChain`` per block, the synchronous consumer chain of
+docs/design.md:77 re-expressed as a streaming block pipeline) → fanout
+(route tagging) → exporters (per-sink partitioned parquet) → obsreport
+counters (per-sink counts from the written files' parquet footers).
 
 All stages run ``batch_format="pyarrow"`` (zero-copy from the object
 store). The only all-to-all operations are the tiny ``groupby("sink")``
@@ -21,15 +21,12 @@ import ray.data
 from ..stages.enrich import enrich_batch
 from ..stages.parse import parse_batch
 from ..stages.route import explode_sinks_batch, route_batch
+from .builder import map_stages
 
 
 def build_transcript_pipeline(ds: ray.data.Dataset) -> ray.data.Dataset:
     """transcripts → parsed + enriched + route-tagged (adds ``sinks``)."""
-    return (
-        ds.map_batches(parse_batch, batch_format="pyarrow")
-        .map_batches(enrich_batch, batch_format="pyarrow")
-        .map_batches(route_batch, batch_format="pyarrow")
-    )
+    return map_stages(ds, [parse_batch, enrich_batch, route_batch])
 
 
 def _partial_sink_counts(batch: pa.Table) -> pa.Table:
@@ -73,9 +70,11 @@ def run_logs_pipeline(
     re-readable (resumable layout).
 
     ``read_transcripts`` sizes the read to the cluster, so the read,
-    the stages and the write fuse into one task per read task: two
+    the stage chain and the write fuse into one task per read task: two
     shards on one CPU run as 2 tasks and land 10 files (one per shard
-    per sink), not 70 from Ray's split default read.
+    per sink), not 70 from Ray's split default read. The stage names
+    are looked up in this module at call time, so a caller may rebind
+    them (perfbench's traced run wraps each one in a span recorder).
 
     ``counters`` holds this call's obsreport numbers, built on the
     driver: a named counter actor dies with its last handle at return,
@@ -89,10 +88,7 @@ def run_logs_pipeline(
     from ..sinks.writers import write_sinks
 
     ds = read_transcripts(input_paths)
-    parsed = ds.map_batches(parse_batch, batch_format="pyarrow").map_batches(
-        enrich_batch, batch_format="pyarrow"
-    )
-    exploded = parsed.map_batches(explode_sinks_batch, batch_format="pyarrow")
+    exploded = map_stages(ds, [parse_batch, enrich_batch, explode_sinks_batch])
     exploded = exploded.drop_columns(["msg"])
     # atomic one-pass fan-out write; per-sink counts are the obsreport
     # surface, counted at the exporter boundary like

@@ -1,20 +1,18 @@
 """Stages — processor analogues (SURVEY.md §2.3-2.4).
 
 Every stage is a batch transform ``pyarrow.Table -> pyarrow.Table``
-(stateless function) or a callable class (stateful actor pool), plugged
-into ``Dataset.map_batches`` — the processorhelper extension point
+(a function or a constructed callable instance), plugged into
+``Dataset.map_batches`` — the processorhelper extension point
 (processor/processorhelper/logs.go:31-82) re-expressed Arrow-first.
 """
 
-from .parse import parse_batch, ParseStage
-from .enrich import enrich_batch, EnrichStage
+from .parse import parse_batch
+from .enrich import enrich_batch
 from .route import route_batch, explode_sinks_batch
 
 __all__ = [
     "parse_batch",
-    "ParseStage",
     "enrich_batch",
-    "EnrichStage",
     "route_batch",
     "explode_sinks_batch",
 ]

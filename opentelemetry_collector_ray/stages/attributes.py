@@ -9,7 +9,7 @@ attributes), keep_keys, replace_pattern.
 
 Here attributes are flat Arrow columns, so each action is a vectorized
 column operation; an ``AttributesStage`` holds a compiled action list
-(validated once per actor) and applies it per batch. ``hash`` uses md5
+(validated once, when the stage is built) and applies it per batch. ``hash`` uses md5
 hex (DuckDB ``md5()``-compatible so the oracle can mirror it).
 """
 
@@ -270,7 +270,7 @@ def apply_actions(batch: pa.Table, actions: list[Action]) -> pa.Table:
 
 
 class AttributesStage:
-    """Actor-pool stage: action list parsed/validated once per actor."""
+    """Batch stage: action list parsed/validated once at construction."""
 
     def __init__(self, actions: list[dict | Action]):
         self.actions = [

@@ -4,11 +4,10 @@ Reference idiom: enrichment processors insert attributes from a side
 dictionary (docs/processing.md:86-94 — k8sattributes/resourcedetection
 style; the in-core API surface is ``pcommon.Map.PutStr`` upserts,
 pdata/pcommon/map.go:121-160). There is no join in the collector core
-and there is none here: the dimension tables are tiny, so they are
-broadcast once (``ray.put`` on the driver, ``ray.get`` once per actor in
-``__init__``) and applied per batch as a vectorized dictionary join —
-``pc.index_in`` (hash lookup, C++) + ``pc.take``. No shuffle at any
-scale.
+and there is none here: the dimension tables are tiny dicts that travel
+with the stage callable and are applied per batch as a vectorized
+dictionary join — ``pc.index_in`` (hash lookup, C++) + ``pc.take``. No
+shuffle at any scale.
 """
 
 from __future__ import annotations
@@ -44,38 +43,12 @@ def _dict_lookup(
     return out
 
 
-def enrich_batch(batch: pa.Table) -> pa.Table:
+def enrich_batch(
+    batch: pa.Table,
+    tool_service: dict[str, str] = DIM_TOOL_SERVICE,
+    role_route: dict[str, str] = DIM_ROLE_ROUTE,
+) -> pa.Table:
     """Append ``service`` (tool→service) and ``route`` (role→route)."""
-    service = _dict_lookup(batch["tool"], DIM_TOOL_SERVICE, default="unknown")
-    route = _dict_lookup(batch["role"], DIM_ROLE_ROUTE, default="ingest")
+    service = _dict_lookup(batch["tool"], tool_service, default="unknown")
+    route = _dict_lookup(batch["role"], role_route, default="ingest")
     return batch.append_column("service", service).append_column("route", route)
-
-
-class EnrichStage:
-    """Actor-pool enrich: dimension dicts resolved ONCE per actor.
-
-    ``dims`` may be plain dicts or ``ray.ObjectRef`` s (the broadcast
-    path for dimension tables too big to pickle into every task spec:
-    ``ref = ray.put(dim)`` on the driver, resolved here once per actor,
-    shared zero-copy via the object store on each node).
-    """
-
-    def __init__(self, tool_service=None, role_route=None):
-        import ray
-
-        def resolve(d, default):
-            if d is None:
-                return default
-            if isinstance(d, ray.ObjectRef):
-                return ray.get(d)
-            return d
-
-        self.tool_service = resolve(tool_service, DIM_TOOL_SERVICE)
-        self.role_route = resolve(role_route, DIM_ROLE_ROUTE)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        service = _dict_lookup(batch["tool"], self.tool_service, default="unknown")
-        route = _dict_lookup(batch["role"], self.role_route, default="ingest")
-        return batch.append_column("service", service).append_column(
-            "route", route
-        )

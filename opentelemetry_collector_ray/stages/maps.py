@@ -288,9 +288,9 @@ _MAP_ACTIONS = {
 
 
 class MapAttributesStage:
-    """Actor-pool stage running an action list against ONE map column —
+    """Batch stage running an action list against ONE map column —
     the pcommon.Map mutation surface for open-ended attributes. Actions
-    (validated once per actor)::
+    (validated once at construction)::
 
         {action: upsert|insert|update, key: K, value: V}
         {action: upsert|insert|update, key: K, value_column: COL}

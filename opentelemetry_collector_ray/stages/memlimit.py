@@ -12,23 +12,24 @@ Ray restatement: streaming backpressure already prevents the executor
 from overcommitting (SCALE.md), so this stage exists for the cases the
 scheduler cannot see — per-worker heap growth from payload decode /
 model state — and as the user-settable budget surface the reference
-exposes. Each actor in the pool guards ITS OWN process RSS (read from
-``/proc/self/statm``, zero dependencies), which is exactly the
-per-worker semantics a multi-node deployment needs: one hot worker
-PAUSES (bounded wait-for-recovery, ``recovery_timeout_s``) while the
-rest keep flowing — the stalled actor backpressures its share of the
-stream, the batch-mode analogue of the reference's retryable refusal.
-Only a worker whose RSS never recovers raises ``MemoryLimitExceeded``
-and fails the job loudly. The wait happens IN the stage because Ray
-offers no retry path for application exceptions on actor-pool tasks
-(``retry_exceptions`` is invalid at actor creation and Ray Data has no
-per-method option surface): an unhandled refusal exception would abort
-the pipeline, which is refusal-as-crash, not backpressure.
+exposes. The stage runs inside each map task and guards THAT worker
+process's RSS (read from ``/proc/self/statm``, zero dependencies),
+which is exactly the per-worker semantics a multi-node deployment
+needs: one hot worker PAUSES (bounded wait-for-recovery,
+``recovery_timeout_s``) while the rest keep flowing — the stalled task
+backpressures its share of the stream, the batch-mode analogue of the
+reference's retryable refusal. Only a worker whose RSS never recovers
+raises ``MemoryLimitExceeded`` and fails the job loudly. The wait
+happens IN the stage because an unhandled refusal exception would abort
+the pipeline, which is refusal-as-crash, not backpressure. The
+refusal flag only outlives a call that raised, and that raise fails
+the job, so running the stage as a plain task loses no state.
 
 The second half of the budget surface is scheduler-side: any stage may
 set ``memory_mib`` in its config, which becomes the Ray ``memory``
-resource on its ``map_batches`` (the scheduler then reserves that heap
-per actor and won't co-locate more actors than the node can hold) —
+resource on its stage group's ``map_batches`` (the scheduler then
+reserves that heap per task and won't co-locate more tasks than the
+node can hold) —
 see ``pipelines/builder._stage_remote_args``.
 """
 

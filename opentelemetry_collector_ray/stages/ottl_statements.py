@@ -353,7 +353,7 @@ def apply_statement(batch: pa.Table, stmt) -> pa.Table:
 
 class TransformStage:
     """transformprocessor analogue: a list of OTTL statement strings,
-    parsed once per actor (``__init__``), applied in order per batch
+    parsed once at construction (``__init__``), applied in order per batch
     (``__call__``) — each statement is a handful of Arrow kernels."""
 
     def __init__(self, statements: list[str]):

@@ -28,62 +28,25 @@ GROK_PATTERN = (
 )
 
 
-def parse_batch(batch: pa.Table) -> pa.Table:
-    """Append level/action/latency_ms/msg/parse_ok columns (zero-copy in,
-    one RE2 pass, typed Arrow out)."""
+def parse_batch(batch: pa.Table, pattern: str = GROK_PATTERN) -> pa.Table:
+    """Append one column per named group of ``pattern`` plus
+    ``parse_ok`` (zero-copy in, one RE2 pass, typed Arrow out).
+    ``latency_ms`` is cast to int64; every other group stays a string."""
     text = batch["text"]
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
-    extracted = pc.extract_regex(text, GROK_PATTERN)
+    extracted = pc.extract_regex(text, pattern)
     ok = extracted.is_valid()
     # Child arrays of a StructArray are NOT nulled where the parent is
     # null — mask them explicitly so parse misses yield null fields.
     null_str = pa.scalar(None, type=pa.string())
-    level = pc.if_else(ok, extracted.field("level"), null_str)
-    action = pc.if_else(ok, extracted.field("action"), null_str)
-    latency = pc.cast(
-        pc.if_else(ok, extracted.field("latency_ms"), null_str), pa.int64()
-    )
-    msg = pc.if_else(ok, extracted.field("msg"), null_str)
-    return (
-        batch.append_column("level", level)
-        .append_column("action", action)
-        .append_column("latency_ms", latency)
-        .append_column("msg", msg)
-        .append_column("parse_ok", ok)
-    )
-
-
-class ParseStage:
-    """Actor-pool form of :func:`parse_batch` for configurable patterns.
-
-    A custom pattern is validated/compiled once per actor in
-    ``__init__`` (the stateful-stage idiom); the per-batch path is the
-    same single RE2 kernel.
-    """
-
-    def __init__(self, pattern: str = GROK_PATTERN):
-        # Fail fast on a bad pattern (actor __init__ errors surface at
-        # first batch otherwise).
-        pc.extract_regex(pa.array([""], type=pa.string()), pattern)
-        self.pattern = pattern
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        text = batch["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        extracted = pc.extract_regex(text, self.pattern)
-        ok = extracted.is_valid()
-        null_str = pa.scalar(None, type=pa.string())
-        out = batch
-        struct_type = extracted.type
-        for i in range(struct_type.num_fields):
-            name = struct_type.field(i).name
-            col = pc.if_else(ok, extracted.field(i), null_str)
-            if name == "latency_ms":
-                col = pc.cast(col, pa.int64())
-            out = out.append_column(name, col)
-        return out.append_column("parse_ok", ok)
+    out = batch
+    for i, field in enumerate(extracted.type):
+        col = pc.if_else(ok, extracted.field(i), null_str)
+        if field.name == "latency_ms":
+            col = pc.cast(col, pa.int64())
+        out = out.append_column(field.name, col)
+    return out.append_column("parse_ok", ok)
 
 
 def json_parse_batch(

@@ -22,26 +22,37 @@ import pyarrow.compute as pc
 from ..schema import ERROR_SINK
 
 
+def _column(batch: pa.Table, name: str) -> pa.Array:
+    col = batch[name]
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _is_error(batch: pa.Table) -> pa.Array:
+    """The fan-out rule: rows with level == 'ERROR' also go to the
+    'errors' sink (a null level never does)."""
+    mask = pc.equal(pc.fill_null(batch["level"], ""), "ERROR")
+    return mask.combine_chunks() if isinstance(mask, pa.ChunkedArray) else mask
+
+
 def route_batch(batch: pa.Table) -> pa.Table:
-    """Append ``sinks: list<string>`` — the sink set per row."""
-    route = batch["route"].combine_chunks() if isinstance(
-        batch["route"], pa.ChunkedArray
-    ) else batch["route"]
-    is_err = pc.equal(pc.fill_null(batch["level"], ""), "ERROR")
-    mask = np.asarray(is_err.combine_chunks() if isinstance(is_err, pa.ChunkedArray) else is_err)
-    route_np = np.asarray(route).astype(object)
+    """Append ``sinks: list<string>`` — the sink set per row.
 
-    counts = 1 + mask.astype(np.int64)
-    offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    values = np.empty(offsets[-1], dtype=object)
-    values[offsets[:-1]] = route_np
-    values[offsets[1:][mask] - 1] = ERROR_SINK
-
-    sinks = pa.ListArray.from_arrays(
-        pa.array(offsets, type=pa.int32()),
-        pa.array(values, type=pa.string()),
+    Built from integer offsets: row ``j``'s list holds index ``j`` (its
+    route) and, for an ERROR row, index ``n`` (the 'errors' sink); one
+    ``pc.take`` over ``route ∪ ['errors']`` gathers the values."""
+    n = len(batch)
+    mask = _is_error(batch).to_numpy(zero_copy_only=False)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(1 + mask.astype(np.int64), out=offsets[1:])
+    idx = np.full(offsets[-1], n, dtype=np.int64)
+    idx[offsets[:-1]] = np.arange(n)
+    values = pc.take(
+        pa.concat_arrays(
+            [_column(batch, "route"), pa.array([ERROR_SINK], pa.string())]
+        ),
+        idx,
     )
+    sinks = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), values)
     return batch.append_column("sinks", sinks)
 
 
@@ -54,14 +65,8 @@ def explode_sinks_batch(batch: pa.Table) -> pa.Table:
     Works on batches WITHOUT a ``sinks`` column (it derives the same
     rule), so it composes directly after enrich.
     """
-    base = batch.append_column(
-        "sink",
-        batch["route"].combine_chunks()
-        if isinstance(batch["route"], pa.ChunkedArray)
-        else batch["route"],
-    )
-    err_mask = pc.equal(pc.fill_null(batch["level"], ""), "ERROR")
-    extra = batch.filter(err_mask)
+    base = batch.append_column("sink", _column(batch, "route"))
+    extra = batch.filter(_is_error(batch))
     extra = extra.append_column(
         "sink", pa.array([ERROR_SINK] * len(extra), type=pa.string())
     )

@@ -142,10 +142,10 @@ def test_stage_pipeline_and_registry():
     # registered in the config stage registry
     from opentelemetry_collector_ray.pipelines.builder import STAGE_REGISTRY
 
-    cls, kwargs = STAGE_REGISTRY["map_attributes"](
+    built = STAGE_REGISTRY["map_attributes"](
         {"column": "attrs", "actions": [], "from_json": "props"}
     )
-    assert cls is MapAttributesStage and kwargs["from_json"] == "props"
+    assert isinstance(built, MapAttributesStage) and built.from_json == "props"
 
 
 def test_stage_validation_errors():

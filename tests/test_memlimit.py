@@ -75,14 +75,13 @@ def test_invalid_config_rejected():
 
 
 def test_builder_registration_and_defaults():
-    cls, kwargs = STAGE_REGISTRY["memory_limiter"]({"limit_mib": 512})
-    st = cls(**kwargs)
+    st = STAGE_REGISTRY["memory_limiter"]({"limit_mib": 512})
     assert isinstance(st, MemoryLimiterStage)
     assert st.hard == 512 and st.soft == pytest.approx(512 * 0.8)
-    cls, kwargs = STAGE_REGISTRY["memory_limiter"](
+    st = STAGE_REGISTRY["memory_limiter"](
         {"limit_mib": 512, "spike_limit_mib": 128}
     )
-    assert cls(**kwargs).soft == 384
+    assert st.soft == 384
 
 
 def test_memory_mib_becomes_ray_memory_resource():
@@ -90,6 +89,53 @@ def test_memory_mib_becomes_ray_memory_resource():
     assert _stage_remote_args({"memory_mib": 256}) == {
         "memory": 256 * 1024 * 1024
     }
+
+
+def test_stage_group_is_one_task_map_with_its_largest_memory_mib():
+    """Consecutive stages compile to ONE map_batches of a StageChain:
+    plain tasks (no concurrency → no actor pool), reserving the largest
+    ``memory_mib`` of its members; ``rebatch`` starts a new group."""
+    from opentelemetry_collector_ray.pipelines.builder import (
+        StageChain,
+        _apply_stages,
+    )
+    from opentelemetry_collector_ray.pipelines.config import load_config
+
+    class _Recorder:
+        def __init__(self):
+            self.maps = []
+
+        def map_batches(self, fn, **kwargs):
+            self.maps.append((fn, kwargs))
+            return self
+
+        def repartition(self, *args, **kwargs):
+            self.maps.append(("repartition", kwargs))
+            return self
+
+    cfg = load_config(
+        {
+            "pipeline": {
+                "source": {"type": "parquet", "paths": ["in.parquet"]},
+                "stages": [
+                    {"type": "parse", "memory_mib": 64},
+                    {"type": "memory_limiter", "limit_mib": 512,
+                     "memory_mib": 128},
+                    {"type": "enrich"},
+                    {"type": "rebatch", "rows": 1000},
+                    {"type": "route"},
+                ],
+                "sinks": {"mode": "single", "out_dir": "out"},
+            }
+        }
+    )
+    ds = _apply_stages(_Recorder(), cfg)
+    chains = [(fn, kw) for fn, kw in ds.maps if isinstance(fn, StageChain)]
+    assert len(chains) == 2
+    (first, kw1), (second, kw2) = chains
+    assert len(first.stages) == 3 and len(second.stages) == 1
+    assert kw1 == {"batch_format": "pyarrow", "memory": 128 * 1024 * 1024}
+    assert kw2 == {"batch_format": "pyarrow"}
 
 
 def test_memory_limiter_in_pipeline(ray_session, tmp_path):

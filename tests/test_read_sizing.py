@@ -111,11 +111,9 @@ def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
     assert read_spy == [(paths, {})]
 
 
-def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
-    """At num_cpus=1, run_logs_pipeline over two shards that Ray's
-    default read would split runs as one ReadParquet->…->Write operator
-    with one task per shard, lands 2 × |sinks| files, and counts the
-    same per sink as a read at Ray's default parallelism."""
+def _two_shards(tmp_path):
+    """Two transcript shards of a few MB each, big enough that Ray's
+    default read would split them."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     paths, mem = [], 0
@@ -126,6 +124,26 @@ def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
         paths.append(p)
         mem += t.nbytes
     assert mem >= 4 * 1024 * 1024
+    return paths
+
+
+def _run_one_cpu(code, tmp_path):
+    """Run ``code`` in a fresh one-CPU Ray session; return its last
+    stdout line as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
+    """At num_cpus=1, run_logs_pipeline over two shards that Ray's
+    default read would split runs as one ReadParquet->…->Write operator
+    with one task per shard, lands 2 × |sinks| files, and counts the
+    same per sink as a read at Ray's default parallelism."""
+    paths = _two_shards(tmp_path)
     out = str(tmp_path / "out")
     code = textwrap.dedent(
         f"""
@@ -168,14 +186,64 @@ def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
         ray.shutdown()
         """
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, cwd=str(tmp_path), timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr[-4000:]
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    got = _run_one_cpu(code, tmp_path)
     assert got["default_blocks"] > len(paths)  # Ray's default splits this corpus
     assert got["files"] == 2 * len(got["per_sink"])
     assert got["per_sink"] == got["ref"]
     assert len(got["ops"]) == 1, got["ops"]
     assert "ReadParquet->" in got["ops"][0] and "->Write" in got["ops"][0]
+
+
+def test_one_cpu_route_config_runs_as_one_task_operator(tmp_path):
+    """At num_cpus=1, the route-mode config [parse, enrich] runs its
+    stages as one task chain fused with the read and the write: one
+    ReadParquet->…->Write operator, no actor pool, the same per-sink
+    counts as run_logs_pipeline, and 2 × |sinks| files. (Stages on
+    their own actor pools do not fuse and starve a one-CPU session.)"""
+    paths = _two_shards(tmp_path)
+    out = str(tmp_path / "out")
+    code = textwrap.dedent(
+        f"""
+        import glob, json, sys
+        sys.path.insert(0, {REPO!r})
+        import ray
+        ray.init(address="local", num_cpus=1,
+                 include_dashboard=False, logging_level="ERROR")
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        import __ray_entry__  # pickle-by-value registration
+        from opentelemetry_collector_ray.pipelines import logs
+        from opentelemetry_collector_ray.pipelines.builder import run_pipeline
+        from opentelemetry_collector_ray.sinks import writers
+
+        written = []
+        real = writers.atomic_write_parquet
+
+        def spy(ds, *args, **kwargs):
+            written.append(ds)
+            return real(ds, *args, **kwargs)
+
+        writers.atomic_write_parquet = spy
+        paths = {paths!r}
+        res = run_pipeline({{"pipeline": {{
+            "source": {{"type": "parquet", "paths": paths}},
+            "stages": [{{"type": "parse"}}, {{"type": "enrich"}}],
+            "sinks": {{"mode": "route", "out_dir": {out!r}}},
+        }}}})
+        stats = written[0].stats()
+        files = len(glob.glob({out!r} + "/**/*.parquet", recursive=True))
+        ref = logs.run_logs_pipeline(paths, {str(tmp_path / "ref")!r})
+        print(json.dumps({{
+            "per_sink": dict(res["per_sink"]),
+            "files": files,
+            "ops": [l for l in stats.splitlines() if l.startswith("Operator")],
+            "ref": ref["per_sink"],
+        }}))
+        ray.shutdown()
+        """
+    )
+    got = _run_one_cpu(code, tmp_path)
+    assert len(got["ops"]) == 1, got["ops"]
+    assert "ReadParquet->" in got["ops"][0] and "->Write" in got["ops"][0]
+    assert got["per_sink"] == got["ref"]
+    assert got["files"] == 2 * len(got["per_sink"])

@@ -15,7 +15,7 @@ from opentelemetry_collector_ray.schema import (
     TRANSCRIPT_SCHEMA,
 )
 from opentelemetry_collector_ray.stages.enrich import enrich_batch
-from opentelemetry_collector_ray.stages.parse import ParseStage, parse_batch
+from opentelemetry_collector_ray.stages.parse import GROK_PATTERN, parse_batch
 from opentelemetry_collector_ray.stages.route import (
     explode_sinks_batch,
     route_batch,
@@ -58,9 +58,56 @@ def test_parse_roundtrip():
     assert miss["latency_ms"].null_count == miss.num_rows
 
 
-def test_parse_stage_class_matches_function():
+def test_registry_parse_matches_function():
+    from opentelemetry_collector_ray.pipelines.builder import STAGE_REGISTRY
+
     t = gen_transcripts(30)
-    assert ParseStage()(t).equals(parse_batch(t))
+    built = STAGE_REGISTRY["parse"]({"pattern": GROK_PATTERN})
+    assert built(t).equals(parse_batch(t))
+
+
+def test_parse_custom_pattern_adds_its_named_groups():
+    from opentelemetry_collector_ray.pipelines.builder import STAGE_REGISTRY
+
+    t = gen_transcripts(30)
+    pattern = GROK_PATTERN.replace(
+        r"msg=(?P<msg>.*)$", r"msg=(?P<msg>(?P<first>\S*).*)$"
+    )
+    out = STAGE_REGISTRY["parse"]({"pattern": pattern})(t)
+    base = parse_batch(t)
+    assert out.column_names == base.column_names[:-1] + ["first", "parse_ok"]
+    assert out.drop_columns(["first"]).equals(base)
+    assert out["latency_ms"].type == pa.int64()
+    ok = out.filter(out["parse_ok"])
+    assert ok["first"].to_pylist() == [
+        m.split(" ")[0] for m in ok["msg"].to_pylist()
+    ]
+    miss = out.filter(pc.invert(out["parse_ok"]))
+    assert miss["first"].null_count == miss.num_rows
+
+
+def test_bad_parse_pattern_fails_at_build_time():
+    import pytest
+
+    from opentelemetry_collector_ray.pipelines.builder import _apply_stages
+    from opentelemetry_collector_ray.pipelines.config import (
+        ConfigError,
+        load_config,
+    )
+
+    cfg = load_config(
+        {
+            "pipeline": {
+                "source": {"type": "parquet", "paths": ["in.parquet"]},
+                "stages": [{"type": "parse", "pattern": "(?P<level>[A-Z+"}],
+                "sinks": {"mode": "single", "out_dir": "out"},
+            }
+        }
+    )
+    # stage builders run on the driver before any map is applied, so
+    # no dataset (and no Ray job) is needed to see the failure
+    with pytest.raises(ConfigError, match="bad pattern"):
+        _apply_stages(None, cfg)
 
 
 def test_enrich_lookup():
