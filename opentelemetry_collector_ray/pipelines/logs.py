@@ -7,6 +7,12 @@ docs/design.md:77 re-expressed as a streaming block pipeline) → fanout
 (route tagging) → exporters (per-sink partitioned parquet) → obsreport
 counters (per-sink counts from the written files' parquet footers).
 
+``run_logs_pipeline`` runs as ONE operator,
+``ReadParquet->MapBatches(StageChain)->Write``: the chain is parse →
+enrich → explode per sink → drop ``msg``, and each read task yields one
+batch per shard (``sources/parquet.batch_rows``), so each fused task
+calls the chain once per shard and lands one row group per sink file.
+
 All stages run ``batch_format="pyarrow"`` (zero-copy from the object
 store). The only all-to-all operations are the tiny ``groupby("sink")``
 over pre-aggregated partials and the optional per-sink sort, both noted
@@ -27,6 +33,11 @@ from .builder import map_stages
 def build_transcript_pipeline(ds: ray.data.Dataset) -> ray.data.Dataset:
     """transcripts → parsed + enriched + route-tagged (adds ``sinks``)."""
     return map_stages(ds, [parse_batch, enrich_batch, route_batch])
+
+
+def drop_msg_batch(batch: pa.Table) -> pa.Table:
+    """Drop the parser's free-text ``msg`` capture, which no sink keeps."""
+    return batch.drop_columns(["msg"])
 
 
 def _partial_sink_counts(batch: pa.Table) -> pa.Table:
@@ -72,9 +83,12 @@ def run_logs_pipeline(
     ``read_transcripts`` sizes the read to the cluster, so the read,
     the stage chain and the write fuse into one task per read task: two
     shards on one CPU run as 2 tasks and land 10 files (one per shard
-    per sink), not 70 from Ray's split default read. The stage names
-    are looked up in this module at call time, so a caller may rebind
-    them (perfbench's traced run wraps each one in a span recorder).
+    per sink), not 70 from Ray's split default read. ``msg`` is dropped
+    by the chain's last member, not by a ``drop_columns`` operator of
+    its own, so the plan is ``ReadParquet->MapBatches(StageChain)->
+    Write``. The stage names are looked up in this module at call time,
+    so a caller may rebind them (perfbench's traced run wraps each one
+    in a span recorder).
 
     ``counters`` holds this call's obsreport numbers, built on the
     driver: a named counter actor dies with its last handle at return,
@@ -88,8 +102,9 @@ def run_logs_pipeline(
     from ..sinks.writers import write_sinks
 
     ds = read_transcripts(input_paths)
-    exploded = map_stages(ds, [parse_batch, enrich_batch, explode_sinks_batch])
-    exploded = exploded.drop_columns(["msg"])
+    exploded = map_stages(
+        ds, [parse_batch, enrich_batch, explode_sinks_batch, drop_msg_batch]
+    )
     # atomic one-pass fan-out write; per-sink counts are the obsreport
     # surface, counted at the exporter boundary like
     # obsreport_exporter.go:42-57.

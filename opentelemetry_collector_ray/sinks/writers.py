@@ -5,6 +5,7 @@
   story (the reference retries sends with backoff,
   exporter/exporterhelper/queued_retry.go:353-449; a batch engine
   retries by rewriting the same partition, so writes must be atomic).
+  Every write starts from ``WRITE_OPTIONS``.
 - ``write_sinks``: the fan-out exporter — one pass, one partitioned
   write (``partition_cols=["sink"]``), every sink directory
   independently re-readable.
@@ -32,6 +33,27 @@ import ray.data
 from ..sources.parquet import read_parquet
 
 logger = logging.getLogger(__name__)
+
+# Parquet writer options every engine sink write starts from; a
+# caller's kwargs (``sinks.compression``, ...) override them.
+# - ``dictionary_pagesize_limit``: Arrow dictionary-encodes every column
+#   and falls back to plain encoding only once a column chunk's
+#   dictionary passes this size (1 MiB by default), so a near-unique
+#   column (``text``: 44k distinct values in 84k routed rows) first
+#   builds most of a 1 MiB dictionary. At 16 KiB it falls back after a
+#   few hundred values, while the low-cardinality columns (sink, route,
+#   role, level, tool) stay far under it and keep their dictionaries.
+#   Writing the routed seed-11 corpus (167,652 rows, 10 files) in one
+#   process took 0.066 s for 4.12 MB at Arrow's default, 0.063 s for
+#   3.90 MB at 64 KiB and 0.060 s for 3.73 MB at 16 KiB (medians of 30
+#   interleaved writes, one vCPU).
+# - ``row_group_size``: Ray passes it to ``write_dataset`` as both the
+#   min and the max rows per row group. Arrow's own maximum (1Mi rows)
+#   as the minimum too makes each file under that one row group:
+#   without it the dataset writer cuts every batch into 32Ki-row
+#   slices, and a 65k-row batch lands two row groups per sink file
+#   (3.61 MB instead of 3.73 MB, same write time).
+WRITE_OPTIONS = {"dictionary_pagesize_limit": 16 * 1024, "row_group_size": 1 << 20}
 
 
 def _recover_and_clean(parent: str, base: str, out_dir: str) -> None:
@@ -129,7 +151,7 @@ def atomic_write_parquet(
     # dir exists up front so an empty dataset (zero files) still
     # publishes an empty sink.
     os.makedirs(tmp)
-    ds.write_parquet(tmp, **kwargs)
+    ds.write_parquet(tmp, **{**WRITE_OPTIONS, **kwargs})
     rows = landed_counts(tmp)
     if os.path.exists(out_dir):
         os.rename(out_dir, old)
@@ -175,7 +197,7 @@ def _atomic_write_parquet_fs(
     for p in olds:
         fs.delete_dir(p)
     fs.create_dir(tmp, recursive=True)
-    ds.write_parquet(tmp, filesystem=fs, **kwargs)
+    ds.write_parquet(tmp, filesystem=fs, **{**WRITE_OPTIONS, **kwargs})
     rows = landed_counts(tmp, fs)
     if fs.get_file_info(out_dir).type != pafs.FileType.NotFound:
         fs.move(out_dir, old)

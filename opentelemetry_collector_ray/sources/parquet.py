@@ -1,4 +1,4 @@
-"""The engine's parquet read, sized to the cluster.
+"""The engine's parquet read, sized to the cluster and to its rows.
 
 Ray's default read parallelism (``_autodetect_parallelism`` in
 ``ray/data/_internal/util.py``) is
@@ -28,6 +28,28 @@ from file sizes on the read's own filesystem (one ``get_file_info``
 call for the inputs, one listing per directory), times Ray's default
 parquet encoding ratio. No probe dataset is built: each
 ``read_parquet`` construction samples the encoding ratio in a task.
+
+``batch_rows`` sizes the batches a read task yields. Ray's reader
+takes ``min(10_000, (target_max_block_size // 10) ÷ sampled row
+width)`` rows per batch (``PARQUET_READER_ROW_BATCH_SIZE``,
+``estimate_default_read_batch_size_rows``): its byte budget is
+12.8 MiB, but the 10k-row cap binds for any row under 1.3 KB. Inside a
+fused task each batch runs the stage chain once and is handed to the
+partitioned write on its own, so a 65k-row transcript shard of
+112-byte rows ran the chain 7 times. ``batch_rows`` keeps the byte
+budget and drops the cap:
+
+    (target_max_block_size // 10) ÷ (on-disk bytes × ENCODING_RATIO ÷ rows)
+
+with the on-disk bytes and footer row counts of at most
+``SAMPLE_FILES`` files spread over the inputs (Ray samples at most 10
+files, in tasks; reading footers needs none). The same shard is then
+one batch. Memory bound: a batch holds about the budget when the data
+inflates at most ``ENCODING_RATIO``× from disk, the assumption Ray's
+own read-task sizing makes; data that inflates more gets batches that
+much larger. A batch never spans files, and a fused read→write task
+holds all of its read output anyway (see above), so a batch never
+outgrows what its task already holds.
 """
 
 from __future__ import annotations
@@ -35,6 +57,7 @@ from __future__ import annotations
 import math
 
 import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -44,12 +67,16 @@ import ray.data
 # corpus (14.6 MB in memory, 2.62 MB on disk).
 ENCODING_RATIO = 5
 
+# Files whose footers size a read batch: Ray samples at most as many to
+# size its own (PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES).
+SAMPLE_FILES = 10
 
-def _on_disk_bytes(paths, filesystem=None) -> int | None:
-    """Total on-disk bytes of ``paths`` on ``filesystem`` (local when
-    None); a directory counts the ``*.parquet`` files under it. None
-    when any size is unknown."""
-    sizes = []
+
+def _parquet_files(paths, filesystem=None):
+    """``(filesystem, [FileInfo])`` of the files ``paths`` name on
+    ``filesystem`` (local when None); a directory contributes the
+    ``*.parquet`` files under it. None when any size is unknown."""
+    files = []
     try:
         paths = [paths] if isinstance(paths, str) else list(paths)
         if filesystem is None:
@@ -63,18 +90,26 @@ def _on_disk_bytes(paths, filesystem=None) -> int | None:
                 listed = filesystem.get_file_info(
                     pafs.FileSelector(info.path, recursive=True)
                 )
-                sizes += [
-                    f.size
+                files += [
+                    f
                     for f in listed
                     if f.type == pafs.FileType.File and f.path.endswith(".parquet")
                 ]
             elif info.type == pafs.FileType.File:
-                sizes.append(info.size)
+                files.append(info)
             else:
                 return None  # missing: Ray's own read reports it
     except (OSError, TypeError, ValueError):
         return None
-    return None if None in sizes else sum(sizes)
+    if any(f.size is None for f in files):
+        return None
+    return filesystem, files
+
+
+def _on_disk_bytes(paths, filesystem=None) -> int | None:
+    """Total on-disk bytes of ``paths`` (see ``_parquet_files``)."""
+    found = _parquet_files(paths, filesystem)
+    return None if found is None else sum(f.size for f in found[1])
 
 
 def read_tasks(paths, filesystem=None) -> int | None:
@@ -92,12 +127,43 @@ def read_tasks(paths, filesystem=None) -> int | None:
     return max(2 * cpus, size_term, 1)
 
 
+def batch_rows(paths, filesystem=None) -> int | None:
+    """Rows per read batch: Ray's byte budget ``target_max_block_size
+    // 10`` ÷ the estimated in-memory row width, on-disk bytes ×
+    ``ENCODING_RATIO`` ÷ footer rows over at most ``SAMPLE_FILES``
+    files spread over the inputs; at least 1. None (Ray's default) when
+    Ray is not initialised, the budget is unset, or a size or row count
+    is unknown."""
+    if not ray.is_initialized():
+        return None
+    target = ray.data.DataContext.get_current().target_max_block_size
+    found = _parquet_files(paths, filesystem)
+    if not target or found is None or not found[1]:
+        return None
+    fs, files = found
+    sample = files[:: -(-len(files) // SAMPLE_FILES)]  # every ⌈n / 10⌉th
+    try:
+        rows = sum(pq.read_metadata(f.path, filesystem=fs).num_rows for f in sample)
+    except (OSError, ValueError):
+        return None
+    if not rows:
+        return None
+    width = sum(f.size for f in sample) * ENCODING_RATIO / rows
+    return max(1, int(target // 10 // width))
+
+
 def read_parquet(paths, **kwargs) -> ray.data.Dataset:
     """``ray.data.read_parquet`` with ``override_num_blocks`` from
-    ``read_tasks``. An explicit ``override_num_blocks`` or
-    ``parallelism`` from the caller is left alone."""
+    ``read_tasks`` and ``batch_size`` from ``batch_rows``. An explicit
+    ``override_num_blocks`` or ``parallelism``, or an explicit
+    ``batch_size``, from the caller is left alone."""
+    fs = kwargs.get("filesystem")
     if kwargs.get("override_num_blocks") is None and kwargs.get("parallelism", -1) == -1:
-        n = read_tasks(paths, kwargs.get("filesystem"))
+        n = read_tasks(paths, fs)
         if n is not None:
             kwargs["override_num_blocks"] = n
+    if kwargs.get("batch_size") is None:
+        rows = batch_rows(paths, fs)
+        if rows is not None:
+            kwargs["batch_size"] = rows
     return ray.data.read_parquet(paths, **kwargs)

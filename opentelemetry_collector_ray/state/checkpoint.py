@@ -142,11 +142,13 @@ def run_partitioned(
     failure isolation, not parallelism — parallelism comes from Ray Data
     inside the partition).
 
-    Partition row counts come from the footers of the files each write
-    landed (``sinks.writers.landed_counts``) and live in the ledger;
-    ``run_id`` names the run for the caller, no state is keyed on it.
+    Each partition is written with the sink writers' ``WRITE_OPTIONS``
+    (one encoding rule for every engine sink write). Partition row
+    counts come from the footers of the files each write landed
+    (``sinks.writers.landed_counts``) and live in the ledger; ``run_id``
+    names the run for the caller, no state is keyed on it.
     """
-    from ..sinks.writers import landed_counts
+    from ..sinks.writers import WRITE_OPTIONS, landed_counts
 
     os.makedirs(out_dir, exist_ok=True)
     ledger = PartitionLedger(out_dir)
@@ -203,7 +205,7 @@ def run_partitioned(
         def write_once(files=files, tmp=tmp):
             shutil.rmtree(tmp, ignore_errors=True)
             os.makedirs(tmp)
-            pipeline_fn(files).write_parquet(tmp)
+            pipeline_fn(files).write_parquet(tmp, **WRITE_OPTIONS)
             return landed_counts(tmp)
 
         # retry I/O failures only — a user-code error in the pipeline

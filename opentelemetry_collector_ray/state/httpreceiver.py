@@ -44,7 +44,9 @@ from __future__ import annotations
 import http.server
 import json
 import os
+import socket
 import threading
+import time
 
 import pyarrow as pa
 
@@ -122,6 +124,30 @@ _SIGNAL_ROOTS = {
     "traces": "resourceSpans",
     "metrics": "resourceMetrics",
 }
+
+
+def _linger(h, limit: int = 1 << 20, timeout: float = 1.0) -> None:
+    """Lingering close after a refusal: half-close, then discard the
+    request bytes still arriving (at most ``limit`` bytes, ``timeout``
+    seconds) before the socket closes. A refusal answers before it
+    reads the body, and closing a socket with unread bytes resets the
+    connection: a client still sending its body (a chunked POST
+    refused 411) then gets a broken pipe instead of the refusal."""
+    deadline = time.monotonic() + timeout
+    try:
+        h.wfile.flush()
+        h.connection.shutdown(socket.SHUT_WR)
+        while limit > 0:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            h.connection.settimeout(left)
+            chunk = h.connection.recv(min(limit, 1 << 16))
+            if not chunk:
+                break
+            limit -= len(chunk)
+    except OSError:
+        pass  # the client went away: nothing left to deliver
 
 
 class OtlpHttpListener:
@@ -238,6 +264,7 @@ class OtlpHttpListener:
         # close_connection flag, so the socket is really torn down)
         extra.append(("Connection", "close"))
         self._respond(h, code, body, "application/json", extra)
+        _linger(h)
 
     def _handle(self, h):
         path = h.path.rstrip("/")

@@ -1,6 +1,8 @@
 """Read sizing (sources/parquet.py): read tasks = max(2 × cluster CPUs,
 ⌈estimated in-memory bytes / target_max_block_size⌉), passed to
-``ray.data.read_parquet`` as ``override_num_blocks``."""
+``ray.data.read_parquet`` as ``override_num_blocks``; rows per batch =
+(target_max_block_size // 10) ÷ (on-disk bytes × ENCODING_RATIO ÷
+footer rows), without Ray's 10k-row cap, passed as ``batch_size``."""
 
 import json
 import os
@@ -46,11 +48,27 @@ def _small_files(tmp_path, n=2):
     return paths
 
 
+def _budget():
+    """Ray's parquet reader byte budget per batch."""
+    return ray.data.DataContext.get_current().target_max_block_size // 10
+
+
+def _want_batch_rows(paths):
+    """The batch rule restated: the byte budget over on-disk bytes ×
+    ENCODING_RATIO per footer row."""
+    size = sum(os.path.getsize(p) for p in paths)
+    rows = sum(pq.read_metadata(p).num_rows for p in paths)
+    return max(1, int(_budget() // (size * parquet.ENCODING_RATIO / rows)))
+
+
 def test_one_cpu_two_small_files_give_two(tmp_path, one_cpu, read_spy):
     paths = _small_files(tmp_path)
     assert parquet.read_tasks(paths) == 2
     parquet.read_parquet(paths, columns=["x"])
-    assert read_spy == [(paths, {"columns": ["x"], "override_num_blocks": 2})]
+    assert read_spy == [
+        (paths, {"columns": ["x"], "override_num_blocks": 2,
+                 "batch_size": _want_batch_rows(paths)}),
+    ]
 
 
 def test_one_cpu_ten_gb_gives_size_term(monkeypatch, one_cpu):
@@ -66,10 +84,17 @@ def test_explicit_blocks_pass_through(tmp_path, one_cpu, read_spy):
     paths = _small_files(tmp_path)
     parquet.read_parquet(paths, override_num_blocks=7)
     parquet.read_parquet(paths, parallelism=5)
+    rows = _want_batch_rows(paths)
     assert read_spy == [
-        (paths, {"override_num_blocks": 7}),
-        (paths, {"parallelism": 5}),
+        (paths, {"override_num_blocks": 7, "batch_size": rows}),
+        (paths, {"parallelism": 5, "batch_size": rows}),
     ]
+
+
+def test_explicit_batch_size_passes_through(tmp_path, one_cpu, read_spy):
+    paths = _small_files(tmp_path)
+    parquet.read_parquet(paths, batch_size=123)
+    assert read_spy == [(paths, {"batch_size": 123, "override_num_blocks": 2})]
 
 
 def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, read_spy):
@@ -86,14 +111,19 @@ def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, 
         parquet.ENCODING_RATIO * 2,
     )
     parquet.read_parquet(str(d))
-    # the directory goes to Ray unchanged (hive discovery)
-    assert read_spy == [(str(d), {"override_num_blocks": -(-want // 2)})]
+    # the directory goes to Ray unchanged (hive discovery); the same
+    # target gives a one-byte batch budget, so one row per batch
+    assert read_spy == [
+        (str(d), {"override_num_blocks": -(-want // 2), "batch_size": 1}),
+    ]
 
 
 def test_unknown_size_gives_no_override(tmp_path, one_cpu, read_spy):
     missing = [str(tmp_path / "missing.parquet")]
     assert parquet.read_tasks(missing) is None
     assert parquet.read_tasks(["s3://bucket/part-0.parquet"]) is None
+    assert parquet.batch_rows(missing) is None
+    assert parquet.batch_rows(["s3://bucket/part-0.parquet"]) is None
     parquet.read_parquet(missing)
     assert read_spy == [(missing, {})]
 
@@ -107,8 +137,58 @@ def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
 
     monkeypatch.setattr(parquet.ray, "cluster_resources", no_cluster)
     assert parquet.read_tasks(paths) is None
+    assert parquet.batch_rows(paths) is None
     parquet.read_parquet(paths)
     assert read_spy == [(paths, {})]
+
+
+def test_empty_files_give_no_batch_size(tmp_path):
+    p = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"x": pa.array([], pa.int64())}), p)
+    assert parquet.batch_rows([p]) is None
+
+
+def _batches_seen(ds):
+    """(rows, bytes) of each batch a map stage fused with the read is
+    called on, sorted."""
+    calls = ds.map_batches(
+        lambda b: pa.table({"n": [b.num_rows], "bytes": [b.nbytes]}),
+        batch_format="pyarrow",
+    ).to_pandas()
+    return sorted(zip(calls["n"].tolist(), calls["bytes"].tolist()))
+
+
+def test_narrow_rows_read_one_batch_per_shard(tmp_path):
+    """Two transcript shards of about 19.5k rows each: Ray's 10k-row cap
+    hands a fused map stage two batches per shard; the byte-budget batch
+    hands it each shard whole."""
+    paths = _two_shards(tmp_path)
+    rows = sorted(pq.read_metadata(p).num_rows for p in paths)
+    assert rows[0] > 10_000
+    assert parquet.batch_rows(paths) >= rows[-1]
+    sized = parquet.read_parquet(paths, override_num_blocks=len(paths))
+    assert [n for n, _ in _batches_seen(sized)] == rows
+    default = ray.data.read_parquet(paths, override_num_blocks=len(paths))
+    assert max(n for n, _ in _batches_seen(default)) <= 10_000
+
+
+def test_wide_rows_stay_within_ray_byte_budget(tmp_path, monkeypatch):
+    """Incompressible 4 KB rows under a 1 MiB block target (a 104 KB
+    batch budget): no batch holds more rows than Ray's own byte term,
+    budget ÷ in-memory row width, allows."""
+    monkeypatch.setattr(
+        ray.data.DataContext.get_current(), "target_max_block_size", 1024 * 1024
+    )
+    p = str(tmp_path / "wide.parquet")
+    t = pa.table({"i": list(range(600)), "blob": [os.urandom(2048).hex() for _ in range(600)]})
+    pq.write_table(t, p)
+    width = t.nbytes / t.num_rows
+    rows = parquet.batch_rows([p])
+    assert 1 <= rows <= _budget() // width < 10_000
+    batches = _batches_seen(parquet.read_parquet([p], override_num_blocks=1))
+    assert sum(n for n, _ in batches) == t.num_rows
+    assert max(n for n, _ in batches) <= rows
+    assert max(b for _, b in batches) <= _budget()
 
 
 def _two_shards(tmp_path):
@@ -140,9 +220,11 @@ def _run_one_cpu(code, tmp_path):
 
 def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
     """At num_cpus=1, run_logs_pipeline over two shards that Ray's
-    default read would split runs as one ReadParquet->…->Write operator
-    with one task per shard, lands 2 × |sinks| files, and counts the
-    same per sink as a read at Ray's default parallelism."""
+    default read would split runs as exactly one
+    ReadParquet->MapBatches(StageChain)->Write operator (``msg`` is
+    dropped inside the chain) with one task per shard, lands 2 × |sinks|
+    files of one row group each, and counts the same per sink as a read
+    at Ray's default parallelism."""
     paths = _two_shards(tmp_path)
     out = str(tmp_path / "out")
     code = textwrap.dedent(
@@ -176,9 +258,12 @@ def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
             default.map_batches(parse_batch, batch_format="pyarrow")
             .map_batches(enrich_batch, batch_format="pyarrow")
         )
+        import pyarrow.parquet as pq
+        files = glob.glob({out!r} + "/**/*.parquet", recursive=True)
         print(json.dumps({{
             "per_sink": res["per_sink"],
-            "files": len(glob.glob({out!r} + "/**/*.parquet", recursive=True)),
+            "files": len(files),
+            "row_groups": [pq.read_metadata(f).num_row_groups for f in files],
             "ops": ops,
             "default_blocks": default.materialize().num_blocks(),
             "ref": {{str(s): int(n) for s, n in zip(ref["sink"], ref["n"])}},
@@ -189,9 +274,13 @@ def test_one_cpu_run_fuses_read_stages_and_write(tmp_path):
     got = _run_one_cpu(code, tmp_path)
     assert got["default_blocks"] > len(paths)  # Ray's default splits this corpus
     assert got["files"] == 2 * len(got["per_sink"])
+    assert got["row_groups"] == [1] * got["files"]
     assert got["per_sink"] == got["ref"]
     assert len(got["ops"]) == 1, got["ops"]
-    assert "ReadParquet->" in got["ops"][0] and "->Write" in got["ops"][0]
+    name, tasks = got["ops"][0].split(": ")[:2]
+    assert name == "Operator 1 ReadParquet->MapBatches(StageChain)->Write"
+    assert "drop_columns" not in got["ops"][0]
+    assert tasks.startswith(f"{len(paths)} tasks executed"), got["ops"][0]
 
 
 def test_one_cpu_route_config_runs_as_one_task_operator(tmp_path):

@@ -314,3 +314,107 @@ def test_run_logs_pipeline_counters_per_call(tmp_path):
     }
     left = set(ray.util.list_named_actors()) - before
     assert not [a for a in left if a.startswith("otel_ray_metrics_")]
+
+
+def _dictionary_page_bytes(chunk) -> int:
+    """Bytes of a column chunk's dictionary page (0 without one): the
+    page sits in front of the chunk's first data page."""
+    if not chunk.has_dictionary_page:
+        return 0
+    return chunk.data_page_offset - chunk.dictionary_page_offset
+
+
+def test_sink_encoding_keeps_content_and_dictionaries_by_cardinality(tmp_path):
+    """``write_sinks`` under ``WRITE_OPTIONS``: the files read back equal
+    the input as a multiset (nulls and an all-unique string column
+    included), a caller's ``compression`` (what ``sinks.compression``
+    passes) still reaches every column, a low-cardinality column keeps
+    its dictionary, and the unique column's dictionary stops near the
+    16 KiB limit — the writer falls back to plain encoding instead of
+    building a dictionary of the whole column (Arrow's default). Arrow
+    checks the limit after each write batch of 1024 values, so the
+    dictionary may pass it by one batch."""
+    import glob as _glob
+    import hashlib
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.sinks.writers import WRITE_OPTIONS, write_sinks
+
+    n = 30_000
+    table = pa.table({
+        "sink": [("a", "b", "c")[i % 3] for i in range(n)],
+        "level": [None if i % 7 == 0 else ("INFO", "WARN", "ERROR")[i % 5 % 3]
+                  for i in range(n)],
+        "text": [hashlib.md5(str(i).encode()).hexdigest() for i in range(n)],
+        "latency_ms": [None if i % 11 == 0 else i for i in range(n)],
+    })
+    out = str(tmp_path / "sinks")
+    assert write_sinks(ray.data.from_arrow(table), out, compression="zstd") == {
+        "a": n // 3, "b": n // 3, "c": n // 3,
+    }
+    back = pads.dataset(
+        out, format="parquet",
+        partitioning=pads.HivePartitioning(pa.schema([("sink", pa.string())])),
+    ).to_table().select(table.column_names)
+
+    def rows(t):
+        return sorted(t.to_pylist(), key=lambda r: r["text"])
+
+    assert rows(back) == rows(table)
+
+    limit = WRITE_OPTIONS["dictionary_pagesize_limit"]
+    # one write batch of 32-byte values with their 4-byte lengths
+    one_batch = 1024 * (32 + 4)
+    files = _glob.glob(f"{out}/**/*.parquet", recursive=True)
+    assert len(files) == 3
+    texts = []
+    for f in files:
+        meta = pq.read_metadata(f)
+        chunks = {
+            meta.row_group(0).column(i).path_in_schema: meta.row_group(0).column(i)
+            for i in range(meta.num_columns)
+        }
+        assert {c.compression for c in chunks.values()} == {"ZSTD"}
+        level, text = chunks["level"], chunks["text"]
+        assert "RLE_DICTIONARY" in level.encodings
+        assert 0 < _dictionary_page_bytes(level) < 100
+        assert _dictionary_page_bytes(text) <= limit + one_batch
+        texts.append(_dictionary_page_bytes(text))
+
+    # the same rows under Arrow's defaults build the whole dictionary
+    ref = str(tmp_path / "ref.parquet")
+    pq.write_table(table.filter(pa.compute.equal(table["sink"], "a")), ref,
+                   compression="zstd")
+    ref_text = pq.read_metadata(ref).row_group(0).column(2)
+    assert ref_text.path_in_schema == "text"
+    assert _dictionary_page_bytes(ref_text) > 5 * max(texts)
+
+
+def test_every_engine_sink_write_starts_from_write_options(tmp_path, monkeypatch):
+    """``atomic_write_parquet`` and the checkpointed partition write both
+    hand ``WRITE_OPTIONS`` to ``write_parquet``, and a caller's kwargs
+    win over them."""
+    from opentelemetry_collector_ray.sinks.writers import WRITE_OPTIONS
+    from opentelemetry_collector_ray.state.checkpoint import run_partitioned
+
+    calls = []
+    real = ray.data.Dataset.write_parquet
+
+    def spy(self, path, **kwargs):
+        calls.append(kwargs)
+        return real(self, path, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", spy)
+    atomic_write_parquet(ray.data.range(5), str(tmp_path / "one"),
+                         compression="zstd", row_group_size=2)
+    run_partitioned(
+        [str(tmp_path / "in0")], str(tmp_path / "drained"),
+        lambda files: ray.data.range(3), num_partitions=1,
+    )
+    assert calls == [
+        {**WRITE_OPTIONS, "compression": "zstd", "row_group_size": 2},
+        WRITE_OPTIONS,
+    ]
