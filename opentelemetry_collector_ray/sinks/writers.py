@@ -1,8 +1,10 @@
 """Sink writers — the exporter analogues.
 
-- ``atomic_write_parquet``: tmp-dir + rename so a sink directory is
-  either absent or complete — the idempotent-write half of the retry
-  story (the reference retries sends with backoff,
+- ``atomic_write_parquet``: a ``.tmp-`` dir published with
+  ``wirefs.publish`` (fsync, rename, directory fsync on a local disk),
+  so a sink directory is either absent or complete — the
+  idempotent-write half of the retry story (the reference retries
+  sends with backoff,
   exporter/exporterhelper/queued_retry.go:353-449; a batch engine
   retries by rewriting the same partition, so writes must be atomic).
   Every write starts from ``WRITE_OPTIONS``.
@@ -23,13 +25,14 @@ from __future__ import annotations
 import glob
 import logging
 import os
-import shutil
+import posixpath
+import uuid
 
 import pyarrow as pa
 import pyarrow.dataset as pads
-import pyarrow.fs as pafs
 import ray.data
 
+from ..sources import wirefs
 from ..sources.parquet import read_parquet
 
 logger = logging.getLogger(__name__)
@@ -54,23 +57,6 @@ logger = logging.getLogger(__name__)
 #   slices, and a 65k-row batch lands two row groups per sink file
 #   (3.61 MB instead of 3.73 MB, same write time).
 WRITE_OPTIONS = {"dictionary_pagesize_limit": 16 * 1024, "row_group_size": 1 << 20}
-
-
-def _recover_and_clean(parent: str, base: str, out_dir: str) -> None:
-    """Crash recovery for the two-rename swap below. The swap is two
-    renames, so a crash can land BETWEEN them: ``out_dir`` absent, the
-    previous good data stranded in ``.old-{base}-*``. Debris is cleaned
-    for ANY pid (a pid-scoped cleanup would strand another process's
-    crash leftovers forever); single-writer-per-sink is the config
-    invariant (config.py rejects shared out_dirs), so nothing live is
-    ever removed here."""
-    olds = sorted(glob.glob(os.path.join(parent, f".old-{base}-*")))
-    if olds and not os.path.exists(out_dir):
-        # mid-swap crash: put the previous complete sink back first
-        os.rename(olds[0], out_dir)
-        olds = olds[1:]
-    for p in olds + glob.glob(os.path.join(parent, f".tmp-{base}-*")):
-        shutil.rmtree(p, ignore_errors=True)
 
 
 def landed_counts(path: str, filesystem=None, key: str | None = None):
@@ -102,108 +88,30 @@ def atomic_write_parquet(
     storage_options: dict | None = None,
     **kwargs,
 ) -> int:
-    """Write to ``out_dir`` atomically (tmp + swap); returns row count.
+    """Write to ``out_dir`` atomically; returns row count.
 
-    A crashed write leaves either a ``.tmp-`` directory (cleaned by the
-    next attempt) or — if the crash hits between the two swap renames —
-    a missing ``out_dir`` plus the previous good data in ``.old-``,
-    which the next attempt renames back before rewriting. ``out_dir``
-    is never half-complete.
-
-    ``out_dir`` may be a filesystem URI (or ``filesystem``/
-    ``storage_options`` explicit — the config/configauth credential
-    plumbing): non-local sinks stage into a ``.tmp-`` dir on the SAME
-    filesystem and publish with ``fs.move``. On a true object store
-    that move is copy+delete per file, not an atomic rename — the
-    previous sink stays complete until the copy starts, and a torn
-    publish is repaired by the next attempt's rewrite (per-partition
-    ledger resumability is the real crash story at that scale; see
-    SCALE.md)."""
-    import uuid as _uuid
-
-    if filesystem is not None or storage_options is not None or "://" in out_dir:
-        from ..sources import wirefs
-
-        fs, path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-        if not isinstance(fs, pafs.LocalFileSystem):
-            return _atomic_write_parquet_fs(ds, fs, path, **kwargs)
-        out_dir = path  # resolved local path: fall through to the
-        # os.rename swap below (a true atomic publish)
-
-    parent = os.path.dirname(os.path.abspath(out_dir)) or "."
-    os.makedirs(parent, exist_ok=True)
-    base = os.path.basename(out_dir)
+    Each attempt runs ``wirefs.recover`` (an earlier crashed publish
+    leaves debris, or the previous sink stranded in ``.old-``), writes
+    a ``.tmp-`` dir on the same filesystem, then ``wirefs.publish``es
+    it: ``out_dir`` is never half-complete. ``out_dir`` may be a local
+    path or a filesystem URI (or ``filesystem``/``storage_options``
+    explicit — the config/configauth credential plumbing); on an object
+    store the publish is copy+delete, and per-partition ledger
+    resumability carries the crash story at that scale (SCALE.md)."""
+    fs, out_dir = wirefs.resolve_fs(out_dir, filesystem, storage_options)
+    parent, base = posixpath.split(out_dir.rstrip("/"))
     # unique per ATTEMPT, not per pid: a timed-out attempt's abandoned
-    # thread (sinks/retry.py timeout sender) may still be writing in
-    # this same process while the retry attempt runs — pid-keyed paths
-    # would mix the two writes into one tmp dir and the swap could
-    # publish a half-written blend. With attempt-unique dirs, each
-    # attempt's swap publishes only its OWN complete write (the
-    # abandoned attempt either fails when its tmp is cleaned, or swaps
-    # a complete dir — never a mix).
-    attempt = f"{os.getpid()}-{_uuid.uuid4().hex[:8]}"
-    tmp = os.path.join(parent, f".tmp-{base}-{attempt}")
-    old = os.path.join(parent, f".old-{base}-{attempt}")
-    _recover_and_clean(parent, base, out_dir)
-    # write the replacement FIRST; only then swap — a crash mid-write
-    # must leave the previous complete sink untouched (the retry
-    # contract; rewriting in place would destroy good data). The tmp
-    # dir exists up front so an empty dataset (zero files) still
-    # publishes an empty sink.
-    os.makedirs(tmp)
-    ds.write_parquet(tmp, **{**WRITE_OPTIONS, **kwargs})
-    rows = landed_counts(tmp)
-    if os.path.exists(out_dir):
-        os.rename(out_dir, old)
-    os.rename(tmp, out_dir)
-    shutil.rmtree(old, ignore_errors=True)
-    return int(rows)
-
-
-def _atomic_write_parquet_fs(
-    ds: ray.data.Dataset, fs, out_dir: str, **kwargs
-) -> int:
-    """Non-local variant of the stage+swap, with the SAME previous-
-    data-preserving discipline as the local two-rename path: stage into
-    ``.tmp-``, move the live sink aside to ``.old-``, publish, delete
-    the old copy — a crash between the two moves strands the previous
-    good sink in ``.old-`` where the next attempt's recovery puts it
-    back (deleting the live sink before publishing would lose BOTH
-    generations on a crash; review finding, r4). ``fs.move`` is an
-    atomic rename only where the store supports it; see the caller's
-    docstring for the object-store caveat."""
-    import uuid as _uuid
-
-    parent, base = os.path.split(out_dir.rstrip("/"))
-    attempt = f"{os.getpid()}-{_uuid.uuid4().hex[:8]}"
-    prefix = f"{parent}/." if parent else "."
-    tmp = f"{prefix}tmp-{base}-{attempt}"
-    old = f"{prefix}old-{base}-{attempt}"
-    # recovery + debris clean (mirrors _recover_and_clean): a mid-swap
-    # crash left out_dir missing and the good data in some .old-
-    olds = []
-    for info in fs.get_file_info(
-        pafs.FileSelector(parent or ".", recursive=False, allow_not_found=True)
-    ):
-        name = info.path.rsplit("/", 1)[-1]
-        if name.startswith(f".old-{base}-"):
-            olds.append(info.path)
-        elif name.startswith(f".tmp-{base}-"):
-            fs.delete_dir(info.path)
-    olds.sort()
-    if olds and fs.get_file_info(out_dir).type == pafs.FileType.NotFound:
-        fs.move(olds[0], out_dir)
-        olds = olds[1:]
-    for p in olds:
-        fs.delete_dir(p)
+    # thread (sinks/retry.py) may still be writing in this process, and
+    # a shared tmp dir would publish a blend of the two writes
+    tmp = posixpath.join(
+        parent, f".tmp-{base}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    )
+    wirefs.recover(out_dir, fs)
+    # created up front so an empty dataset still publishes an empty sink
     fs.create_dir(tmp, recursive=True)
     ds.write_parquet(tmp, filesystem=fs, **{**WRITE_OPTIONS, **kwargs})
     rows = landed_counts(tmp, fs)
-    if fs.get_file_info(out_dir).type != pafs.FileType.NotFound:
-        fs.move(out_dir, old)
-    fs.move(tmp, out_dir)
-    if fs.get_file_info(old).type != pafs.FileType.NotFound:
-        fs.delete_dir(old)
+    wirefs.publish(tmp, out_dir, fs)
     return int(rows)
 
 
@@ -227,12 +135,7 @@ def write_sinks(
     ``sort_within`` (the §2.6 stable (conv_id, turn_idx) promise at the
     file level; per-file, not global — a global sort would be an
     unnecessary all-to-all). Gated by ``engine.sortedSinkWrites``."""
-    fs = None
-    if filesystem is not None or storage_options is not None or "://" in out_dir:
-        from ..sources import wirefs
-
-        fs, out_dir = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-
+    fs, out_dir = wirefs.resolve_fs(out_dir, filesystem, storage_options)
     if sort_within:
         if kwargs.get("min_rows_per_file"):
             # file coalescing would concatenate several sorted blocks

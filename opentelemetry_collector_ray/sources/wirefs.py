@@ -11,13 +11,15 @@ work from any worker, and each worker creates the directory itself
 
 Three disciplines, all motivated by real failure modes:
 
-* **Atomic publish** — payloads land under a ``.tmp-`` name and are
-  renamed into place (fsync'd first on a local filesystem, mirroring
-  ``SpoolReceiverActor._publish``). A reader listing the directory never
-  sees a torn file: the tmp prefix keeps it out of every extension
-  glob, and the rename is the commit point. On object stores ``move``
-  is copy+delete rather than a true rename, but the tmp name is still
-  invisible to readers until the copy completes.
+* **Atomic publish** — every engine write (wire files, parquet sinks,
+  checkpointed partitions, spool segments) is staged under a ``.tmp-``
+  name and made visible by ``publish``, the package's one tmp→final
+  commit (fsync'd on a local filesystem); ``recover`` repairs a crashed
+  one. A reader listing the directory never sees a torn file: the tmp
+  prefix keeps it out of every extension glob, and the rename is the
+  commit point. On object stores ``move`` is copy+delete rather than a
+  true rename, but the tmp name is still invisible to readers until
+  the copy completes.
 
 * **Content-addressed names** — file names are
   ``{prefix}-{md5(payload)}{ext}``. A Ray task retry or lineage
@@ -56,7 +58,9 @@ from __future__ import annotations
 import hashlib
 import os
 import posixpath
+import re
 import struct
+import uuid
 
 import pyarrow.fs as pafs
 
@@ -173,21 +177,92 @@ def content_name(prefix: str, payload: bytes, ext: str) -> str:
 def atomic_write(
     fs: pafs.FileSystem, dir_path: str, filename: str, payload: bytes
 ) -> str:
-    """Land ``payload`` as ``dir_path/filename`` via tmp + (fsync on
-    local) + rename. Returns the final path."""
+    """Land ``payload`` as ``dir_path/filename`` through a ``.tmp-``
+    file and ``publish``. Returns the final path."""
     final = posixpath.join(dir_path, filename)
     tmp = posixpath.join(dir_path, ".tmp-" + filename)
-    if isinstance(fs, pafs.LocalFileSystem):
-        with open(tmp, "wb") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.rename(tmp, final)
-    else:
-        with fs.open_output_stream(tmp) as f:
-            f.write(payload)
-        fs.move(tmp, final)
+    with fs.open_output_stream(tmp) as f:
+        f.write(payload)
+    publish(tmp, final, fs)
     return final
+
+
+def _fs_and_move(fs: pafs.FileSystem | None):
+    """(filesystem, move, is-local): local moves are ``os.rename``."""
+    if fs is None or isinstance(fs, pafs.LocalFileSystem):
+        return pafs.LocalFileSystem(), os.rename, True
+    return fs, fs.move, False
+
+
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def publish(tmp: str, final: str, fs: pafs.FileSystem | None = None) -> None:
+    """Make the staged file or directory ``tmp`` visible as ``final``,
+    replacing whatever ``final`` held. A file renames over ``final``; a
+    live directory first moves aside to ``.old-{base}-{pid}-{hex8}``
+    and is deleted after the publish (``recover`` resolves a crash in
+    between). On a local filesystem (``fs`` None or
+    ``LocalFileSystem``) every file and directory under ``tmp`` is
+    fsynced before the rename and the parent after it, so the publish
+    is durable on return. Other filesystems take the same moves through
+    ``fs.move`` without fsync; on an object store that is copy+delete,
+    so a crash mid-copy can tear ``final`` until the next rewrite."""
+    fs, move, local = _fs_and_move(fs)
+    if local:
+        for root, _dirs, files in os.walk(tmp, topdown=False):
+            for name in files:
+                _fsync(os.path.join(root, name))
+            _fsync(root)
+        if not os.path.isdir(tmp):
+            _fsync(tmp)
+    old = None
+    if fs.get_file_info(final).type == pafs.FileType.Directory:
+        parent, base = posixpath.split(final.rstrip("/"))
+        old = posixpath.join(
+            parent, f".old-{base}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        )
+        move(final, old)
+    move(tmp, final)
+    if local:
+        _fsync(posixpath.dirname(os.path.abspath(final)))
+    if old is not None:
+        fs.delete_dir(old)
+
+
+def recover(final: str, fs: pafs.FileSystem | None = None) -> None:
+    """Repair a crashed ``publish`` of ``final``: put a stranded
+    ``.old-`` copy back when ``final`` is missing, then delete the other
+    ``.old-``/``.tmp-`` debris of ``final``, whichever process left it
+    (one writer per ``final`` is the caller's invariant). Only
+    ``.{old,tmp}-{base}-{digits}[-{hex}]`` matches, in full, so a
+    sibling's debris (``logs-archive`` beside ``logs``) is never
+    touched."""
+    fs, move, local = _fs_and_move(fs)
+    if local:
+        final = os.path.abspath(final)
+    parent, base = posixpath.split(final.rstrip("/"))
+    debris = re.compile(rf"\.(old|tmp)-{re.escape(base)}-\d+(-[0-9a-f]+)?")
+    entries = fs.get_file_info(
+        pafs.FileSelector(parent or ".", recursive=False, allow_not_found=True)
+    )
+    found = sorted(
+        (e.path, e.type) for e in entries if debris.fullmatch(e.base_name)
+    )
+    olds = [e for e in found if posixpath.basename(e[0]).startswith(".old-")]
+    if olds and fs.get_file_info(final).type == pafs.FileType.NotFound:
+        move(olds[0][0], final)
+        found.remove(olds[0])
+    for path, kind in found:
+        if kind == pafs.FileType.Directory:
+            fs.delete_dir(path)
+        else:
+            fs.delete_file(path)
 
 
 def frame_requests(blobs: list[bytes]) -> bytes:

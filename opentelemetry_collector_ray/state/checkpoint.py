@@ -12,15 +12,15 @@ work is an **input partition** (a deterministic group of input files —
 hash-stable, parallelism-independent). For each partition:
 
 1. run the pipeline on just that partition's files,
-2. write its sink output to a temp dir, then **atomically rename** it
-   to ``part-{pid}``,
+2. write its sink output to a temp dir, then publish it as
+   ``part-{pid}`` with ``sources.wirefs.publish`` (files and directories
+   fsynced, rename, ``out_dir`` fsynced),
 3. append a ledger record ``(partition_id, inputs, rows, status)`` to
    ``ledger.jsonl`` and fsync the ledger.
 
-Only the ledger line is fsynced: neither the partition's files nor
-the directory holding the rename are, so a power loss after the
-ledger append can leave a ledgered partition incomplete on disk. The
-shared durable publish (ROADMAP open item 2) is the fix.
+A ledgered partition is therefore complete even after a power loss.
+A ledger line torn mid-append (a crash, a full disk) does not parse
+and counts as not completed: that partition is reprocessed.
 
 Resume = replay the same plan: ledger-complete partitions are skipped
 (their outputs are already final); a partition directory present but
@@ -38,6 +38,8 @@ import json
 import os
 import shutil
 from dataclasses import dataclass
+
+from ..sources import wirefs
 
 
 @dataclass
@@ -64,14 +66,23 @@ class PartitionLedger:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # a torn append: that partition reruns
                 if rec.get("status") == "done":
                     done[rec["partition_id"]] = LedgerEntry(**rec)
         return done
 
     def record(self, entry: LedgerEntry) -> None:
-        with open(self.path, "a") as f:
-            f.write(json.dumps(entry.__dict__) + "\n")
+        line = json.dumps(entry.__dict__).encode() + b"\n"
+        with open(self.path, "ab+") as f:
+            # never glue this entry onto a torn last line
+            if f.seek(0, os.SEEK_END):
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":
+                    line = b"\n" + line
+            f.write(line)
             f.flush()
             os.fsync(f.fileno())
 
@@ -211,7 +222,7 @@ def run_partitioned(
         # retry I/O failures only — a user-code error in the pipeline
         # must surface immediately, not after 5 minutes of backoff.
         rows = retry_call(write_once, is_retryable=_is_io_failure)
-        os.rename(tmp, final)
+        wirefs.publish(tmp, final)
         ledger.record(LedgerEntry(pid, keys, int(rows)))
         processed += 1
 

@@ -13,8 +13,9 @@ Segments (the reference's persistent queue likewise keeps items in a
 few storage extents, persistent_storage.go:29-50): each receiver has one
 **open segment**, ``{receiver_id}-{seq:08d}.parquet``. Accepted rows
 append to its in-memory tables; publishing it rewrites the whole
-segment under its fixed name — write a tmp file, fsync it, rename it
-over the segment, fsync the spool directory. Once the segment holds
+segment under its fixed name — write a tmp file, then
+``sources.wirefs.publish`` it over the segment (fsync the file, rename,
+fsync the spool directory). Once the segment holds
 ``SEGMENT_ROWS`` rows (or on ``flush`` / the non-durable buffer
 threshold) it is **sealed**: ``seq`` moves on and the file is never
 written again. A drain thus reads a few segments, not one file per
@@ -62,17 +63,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from ..sources import wirefs
+
 # rows at which the open segment is sealed: 64k acked rows of 256-row
 # requests then sit in 16 files, under read_parquet's 24-file threshold
 SEGMENT_ROWS = 4096
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 @ray.remote(num_cpus=0)
@@ -182,10 +177,7 @@ class SpoolReceiverActor:
         table = pa.concat_tables(self.seg + self.buf, promote_options="default")
         tmp = os.path.join(self.spool_dir, f".tmp-{self.receiver_id}-{self.seq}")
         pq.write_table(table, tmp)
-        with open(tmp, "rb") as f:
-            os.fsync(f.fileno())
-        os.rename(tmp, final)
-        _fsync_dir(self.spool_dir)
+        wirefs.publish(tmp, final)
         st = os.stat(final)
         self.published = (st.st_ino, st.st_size)
         self.seg, self.seg_rows = [table], len(table)

@@ -250,6 +250,33 @@ def test_torn_write_is_reprocessed(corpus, tmp_path):
     assert len(PartitionLedger(out).completed()) == 2
 
 
+def test_torn_ledger_line_reprocesses_that_partition(corpus, tmp_path):
+    """A ledger append cut short (a full disk, a power loss before its
+    fsync) leaves a partial last line. The resume treats it as not
+    completed, reprocesses that partition, starts its own record on a
+    fresh line, and ends equal to an uninterrupted run."""
+    out_a = str(tmp_path / "uninterrupted")
+    out_b = str(tmp_path / "torn")
+    res_a = run_partitioned(corpus, out_a, _pipeline, num_partitions=4)
+    run_partitioned(corpus, out_b, _pipeline, num_partitions=4)
+    ledger = PartitionLedger(out_b)
+    with open(ledger.path, "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    torn = lines[-1][: len(lines[-1]) // 2]
+    with open(ledger.path, "wb") as f:
+        f.write(b"".join(lines[:-1]) + torn)
+    assert len(ledger.completed()) == 3
+
+    res_b = run_partitioned(corpus, out_b, _pipeline, num_partitions=4)
+    assert res_b["processed"] == 1 and res_b["skipped"] == 3
+    assert open(ledger.path, "rb").read().splitlines()[-2] == torn
+    assert len(ledger.completed()) == 4
+    pd.testing.assert_frame_equal(_read_all(out_a), _read_all(out_b))
+    assert res_b["total_rows"] == res_a["total_rows"]
+    res_c = run_partitioned(corpus, out_b, _pipeline, num_partitions=4)
+    assert res_c["processed"] == 0 and res_c["skipped"] == 4
+
+
 def test_tailer_micro_batches(corpus, tmp_path):
     """Scraper-controller analogue: files land across ticks; every tick
     processes only changed partitions; final output equals one-shot."""

@@ -39,13 +39,35 @@ def test_atomic_write_recovers_mid_swap_crash(tmp_path):
 def test_atomic_write_recovery_alone_restores_old(tmp_path):
     """Recovery with no rewrite: a reader hitting the crash window's
     aftermath sees the previous complete data once recovery runs."""
-    from opentelemetry_collector_ray.sinks.writers import _recover_and_clean
+    from opentelemetry_collector_ray.sources import wirefs
 
     out = str(tmp_path / "sink")
     atomic_write_parquet(ray.data.range(7), out)
     os.rename(out, str(tmp_path / ".old-sink-424242"))
-    _recover_and_clean(str(tmp_path), "sink", out)
+    wirefs.recover(out)
     assert ray.data.read_parquet(out).count() == 7
+
+
+def test_write_never_takes_a_sibling_prefix_sinks_debris(tmp_path):
+    """A crash between the publish renames of ``logs-archive`` strands
+    its data in ``.old-logs-archive-…``. A later write of ``logs`` — here
+    one that fails — must neither take that copy as its own previous
+    generation nor delete it: the archive's recovery puts it back."""
+    from opentelemetry_collector_ray.sinks.writers import landed_counts
+    from opentelemetry_collector_ray.sources import wirefs
+
+    logs, archive = str(tmp_path / "logs"), str(tmp_path / "logs-archive")
+    atomic_write_parquet(ray.data.range(3), archive)
+    os.rename(archive, str(tmp_path / ".old-logs-archive-123-abcdef01"))
+
+    def boom(batch):
+        raise ValueError("write failed")
+
+    with pytest.raises(Exception, match="write failed"):
+        atomic_write_parquet(ray.data.range(5).map_batches(boom), logs)
+    assert not os.path.exists(logs)
+    wirefs.recover(archive)
+    assert landed_counts(archive) == 3
 
 
 def test_logging_sink_counts_and_samples():
@@ -245,8 +267,8 @@ def test_landed_counts_skip_stranded_dirs(tmp_path):
 
 
 def test_landed_counts_subtree_filesystem_matches_local(tmp_path):
-    """The non-local publish path (``_atomic_write_parquet_fs``) counts
-    the same rows per sink as the local one."""
+    """A publish through a non-local filesystem counts the same rows
+    per sink as a local one."""
     import pyarrow.fs as pafs
 
     from opentelemetry_collector_ray.sinks.writers import landed_counts, write_sinks
@@ -396,7 +418,10 @@ def test_sink_encoding_keeps_content_and_dictionaries_by_cardinality(tmp_path):
 def test_every_engine_sink_write_starts_from_write_options(tmp_path, monkeypatch):
     """``atomic_write_parquet`` and the checkpointed partition write both
     hand ``WRITE_OPTIONS`` to ``write_parquet``, and a caller's kwargs
-    win over them."""
+    win over them. The sink write also names the filesystem its local
+    path resolved to."""
+    import pyarrow.fs as pafs
+
     from opentelemetry_collector_ray.sinks.writers import WRITE_OPTIONS
     from opentelemetry_collector_ray.state.checkpoint import run_partitioned
 
@@ -415,6 +440,7 @@ def test_every_engine_sink_write_starts_from_write_options(tmp_path, monkeypatch
         lambda files: ray.data.range(3), num_partitions=1,
     )
     assert calls == [
-        {**WRITE_OPTIONS, "compression": "zstd", "row_group_size": 2},
+        {**WRITE_OPTIONS, "compression": "zstd", "row_group_size": 2,
+         "filesystem": pafs.LocalFileSystem()},
         WRITE_OPTIONS,
     ]

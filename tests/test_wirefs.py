@@ -93,6 +93,87 @@ def test_atomic_write_via_subtree_fs(tmp_path):
     assert not glob.glob(os.path.join(root, "deep/dir/.tmp-*"))
 
 
+def _log_fs_calls(monkeypatch):
+    """Record every os.fsync (by the path its fd names) and os.rename,
+    by basename, in call order."""
+    log = []
+    real_fsync, real_rename = os.fsync, os.rename
+
+    def fsync(fd):
+        log.append(("fsync", os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))))
+        real_fsync(fd)
+
+    def rename(src, dst):
+        log.append(("rename", os.path.basename(src), os.path.basename(dst)))
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "rename", rename)
+    return log
+
+
+def test_local_atomic_write_fsyncs_data_then_directory(tmp_path, monkeypatch):
+    fs, path = wirefs.resolve_fs(str(tmp_path / "d"))
+    wirefs.ensure_dir(fs, path)
+    log = _log_fs_calls(monkeypatch)
+    wirefs.atomic_write(fs, path, "f.bin", b"payload")
+    assert log == [
+        ("fsync", ".tmp-f.bin"),
+        ("rename", ".tmp-f.bin", "f.bin"),
+        ("fsync", "d"),
+    ]
+
+
+def test_directory_publish_fsync_order(tmp_path, monkeypatch):
+    """Publishing a staged directory over a live one: every file and
+    directory under the stage is fsynced before the first rename, the
+    live directory moves aside, the stage renames into place, the
+    parent is fsynced, and only then is the old copy deleted."""
+    final = tmp_path / "sink"
+    (final / "k=a").mkdir(parents=True)
+    (final / "k=a" / "old.parquet").write_bytes(b"old")
+    tmp = tmp_path / ".tmp-sink-1-ab"
+    for d in ("k=a", "k=b"):
+        (tmp / d).mkdir(parents=True)
+        (tmp / d / "new.parquet").write_bytes(b"new")
+    log = _log_fs_calls(monkeypatch)
+    wirefs.publish(str(tmp), str(final))
+
+    first = next(i for i, e in enumerate(log) if e[0] == "rename")
+    assert all(e[0] == "fsync" for e in log[:first])
+    # each directory after the file in it, the stage last
+    order = [e[1] for e in log[:first]]
+    assert order in (
+        ["new.parquet", "k=a", "new.parquet", "k=b", ".tmp-sink-1-ab"],
+        ["new.parquet", "k=b", "new.parquet", "k=a", ".tmp-sink-1-ab"],
+    )
+    old = log[first][2]
+    assert old.startswith(".old-sink-")
+    assert log[first:] == [
+        ("rename", "sink", old),
+        ("rename", ".tmp-sink-1-ab", "sink"),
+        ("fsync", tmp_path.name),
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["sink"]
+    assert sorted(os.listdir(final)) == ["k=a", "k=b"]
+    assert (final / "k=a" / "new.parquet").read_bytes() == b"new"
+
+
+def test_recover_matches_only_its_own_debris(tmp_path):
+    """Debris of any pid is cleaned; a sibling whose name extends the
+    base (``sink-archive``, ``sink2``) and names that do not follow
+    ``.{old,tmp}-{base}-{digits}[-{hex}]`` are left alone."""
+    mine = [".old-sink-99999", ".old-sink-999-dead", ".tmp-sink-99998",
+            ".tmp-sink-7-0123abcd"]
+    others = [".old-sink-archive-1-abcdef01", ".tmp-sink-archive-1",
+              ".tmp-sink2-5", ".tmp-sink-x", ".old-sink-1-xyz"]
+    (tmp_path / "sink").mkdir()
+    for name in mine + others:
+        (tmp_path / name).mkdir()
+    wirefs.recover(str(tmp_path / "sink"))
+    assert sorted(os.listdir(tmp_path)) == sorted(others + ["sink"])
+
+
 # ------------------------------------------------------ dir preparation
 
 
