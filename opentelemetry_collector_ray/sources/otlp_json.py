@@ -7,7 +7,11 @@ attributes as ``[{key, value:{stringValue|intValue}}]`` entry lists and
 pdata/plog/json.go:27-49, pdata/plog/pb.go:24-44). This module is the
 flatten/unflatten pair between that tree and the engine's flat
 transcript table, so a user can point the engine at genuine OTel
-export NDJSON (one request per line) and write it back out.
+export NDJSON (one request per line) and write it back out. It also
+holds the two bodies every signal shares: ``write_requests`` (nest →
+render → land; NDJSON here, framed protobuf for ``otlp_pb``) and
+``read_otlp_json``. The per-signal writers and readers here and in
+``otlp_traces`` / ``otlp_metrics`` are ``functools.partial``s of them.
 
 Both directions are vectorized:
 
@@ -29,6 +33,8 @@ turn text; record attributes carry conv.id / turn.index / tool.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -503,31 +509,35 @@ class _NdjsonWriter:
 REQUEST_ROWS = 8192
 
 
-def write_otlp_logs_json(
+def write_requests(
     ds: ray.data.Dataset,
     out_dir: str,
     compression: str | None = None,
-    rows_per_request: int = REQUEST_ROWS,
+    rows_per_request: int | None = None,
     *,
+    nest,
+    writer=_NdjsonWriter,
     requests_per_file: int | None = None,
     filesystem=None,
     storage_options: dict | None = None,
     overwrite: bool = True,
 ) -> int:
-    """Marshal: one ExportLogsServiceRequest JSON object per
-    ``rows_per_request`` input rows, ``requests_per_file`` requests per
-    NDJSON file (null fields omitted — the proto3 JSON wire form),
-    optionally wire-compressed (gzip/zstd). ``out_dir`` may be a local
-    path or a filesystem URI (s3://…); a non-empty existing dir is
-    replaced, never appended to. Returns the number of requests
-    written."""
+    """Marshal, for every signal on both wires: ``nest`` turns each
+    ``rows_per_request`` input rows into one Export request row,
+    ``writer(dir, compression, filesystem=fs)`` renders each
+    ``requests_per_file`` request rows into one file — NDJSON here (null
+    fields omitted, the proto3 JSON wire form), framed protobuf with
+    ``otlp_pb._PbWriter`` — optionally wire-compressed (gzip/zstd).
+    ``out_dir`` may be a local path or a filesystem URI (s3://…); a
+    non-empty existing dir is replaced, never appended to. Returns the
+    number of requests written."""
     fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
     wirefs.prepare_dir(fs, dir_path, overwrite)
     nested = ds.map_batches(
-        nest_otlp_batch, batch_format="pyarrow", batch_size=rows_per_request
+        nest, batch_format="pyarrow", batch_size=rows_per_request or REQUEST_ROWS
     )
     written = nested.map_batches(
-        _NdjsonWriter(dir_path, compression, filesystem=fs),
+        writer(dir_path, compression, filesystem=fs),
         batch_format="pyarrow",
         batch_size=requests_per_file or wirefs.REQUESTS_PER_FILE,
     ).sum("rows")
@@ -593,20 +603,21 @@ def _any_compressed(paths, filesystem=None) -> bool:
     return False
 
 
-def _ndjson_requests(paths, filesystem=None) -> ray.data.Dataset:
-    """Dataset of request trees from NDJSON files, transparently
-    handling wire compression (sniffed off the file extensions across
-    ALL entries — dir listings, single files, and lists alike, on the
-    read's own filesystem)."""
-    if not _any_compressed(paths, filesystem):
-        return ray.data.read_json(paths, filesystem=filesystem)
-    return ray.data.read_binary_files(
-        paths, include_paths=True, filesystem=filesystem
-    ).map_batches(_NdjsonDecode(), batch_format="pyarrow")
+def read_otlp_json(paths, filesystem=None, *, flatten) -> ray.data.Dataset:
+    """Unmarshal, for every signal: NDJSON Export requests → ``flatten``
+    → flat rows. Wire compression is sniffed off the file extensions
+    across ALL entries — dir listings, single files, and lists alike, on
+    the read's own filesystem."""
+    if _any_compressed(paths, filesystem):
+        requests = ray.data.read_binary_files(
+            paths, include_paths=True, filesystem=filesystem
+        ).map_batches(_NdjsonDecode(), batch_format="pyarrow")
+    else:
+        requests = ray.data.read_json(paths, filesystem=filesystem)
+    return requests.map_batches(flatten, batch_format="pyarrow")
 
 
-def read_otlp_logs_json(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: NDJSON of ExportLogsServiceRequest → flat records."""
-    return _ndjson_requests(paths, filesystem).map_batches(
-        flatten_otlp_batch, batch_format="pyarrow"
-    )
+# ExportLogsServiceRequest NDJSON; the traces and metrics twins live
+# beside their nest/flatten halves
+write_otlp_logs_json = functools.partial(write_requests, nest=nest_otlp_batch)
+read_otlp_logs_json = functools.partial(read_otlp_json, flatten=flatten_otlp_batch)

@@ -26,26 +26,25 @@ isMonotonic as false.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from ..schema import DIM_TOOL_SERVICE
-from . import wirefs
-from .otlp_json import REQUEST_ROWS
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
     _require_non_null_keys,
     _KV,
-    _NdjsonWriter,
     _attr_first,
     _i64_strings,
     _kv_list,
-    _ndjson_requests,
     _opt_field,
     _str,
+    read_otlp_json,
+    write_requests,
 )
 
 _DP = pa.struct(
@@ -989,21 +988,6 @@ def flatten_otlp_metrics_summary_batch(t: pa.Table) -> pa.Table:
     )
 
 
-def read_otlp_metrics_summary_json(paths) -> "ray.data.Dataset":
-    """Unmarshal the SUMMARY branch: NDJSON → per-datapoint rows."""
-    return _ndjson_requests(paths).map_batches(
-        flatten_otlp_metrics_summary_batch, batch_format="pyarrow"
-    )
-
-
-def read_otlp_metrics_exp_json(paths) -> "ray.data.Dataset":
-    """Unmarshal the EXPONENTIAL-HISTOGRAM branch: NDJSON → exploded
-    per-bucket partial rows (sum per group+bucket for totals)."""
-    return _ndjson_requests(paths).map_batches(
-        flatten_otlp_metrics_exp_batch, batch_format="pyarrow"
-    )
-
-
 def _masked_dp_lists_typed(metrics, branch, branch_type, dp_type):
     """Like ``_masked_dp_lists`` with an explicit dataPoints element
     type (the histogram datapoint differs from NumberDataPoint)."""
@@ -1017,48 +1001,21 @@ def _masked_dp_lists_typed(metrics, branch, branch_type, dp_type):
     return b, dps.take(pa.array(idx, type=pa.int64()))
 
 
-def write_otlp_metrics_json(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    compression: str | None = None,
-    rows_per_request: int | None = None,
-    *,
-    requests_per_file: int | None = None,
-    filesystem=None,
-    storage_options: dict | None = None,
-    overwrite: bool = True,
-) -> int:
-    """Marshal: one ExportMetricsServiceRequest JSON object per
-    request, ``requests_per_file`` requests per NDJSON file (null
-    fields omitted — the proto3 JSON wire form), optionally
-    wire-compressed. ``out_dir`` may be a filesystem URI. Returns the
-    number of requests written."""
-    fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-    wirefs.prepare_dir(fs, dir_path, overwrite)
-    nested = ds.map_batches(
-        nest_otlp_metrics_batch,
-        batch_format="pyarrow",
-        batch_size=rows_per_request or REQUEST_ROWS,
-    )
-    written = nested.map_batches(
-        _NdjsonWriter(dir_path, compression, filesystem=fs),
-        batch_format="pyarrow",
-        batch_size=requests_per_file or wirefs.REQUESTS_PER_FILE,
-    ).sum("rows")
-    return int(written or 0)
-
-
-def read_otlp_metrics_json(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: NDJSON of ExportMetricsServiceRequest → flat
-    datapoints."""
-    return _ndjson_requests(paths, filesystem).map_batches(
-        flatten_otlp_metrics_batch, batch_format="pyarrow"
-    )
-
-
-def read_otlp_metrics_hist_json(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal the HISTOGRAM branch: NDJSON → per-datapoint partial
-    histograms (merge rows per (scope, conv) for totals)."""
-    return _ndjson_requests(paths, filesystem).map_batches(
-        flatten_otlp_metrics_hist_batch, batch_format="pyarrow"
-    )
+write_otlp_metrics_json = functools.partial(
+    write_requests, nest=nest_otlp_metrics_batch
+)
+read_otlp_metrics_json = functools.partial(
+    read_otlp_json, flatten=flatten_otlp_metrics_batch
+)
+# one reader per branch: histogram rows are per-datapoint partial
+# histograms (merge rows per (scope, conv) for totals); exponential-
+# histogram rows are exploded per-bucket partials (sum per group+bucket)
+read_otlp_metrics_hist_json = functools.partial(
+    read_otlp_json, flatten=flatten_otlp_metrics_hist_batch
+)
+read_otlp_metrics_exp_json = functools.partial(
+    read_otlp_json, flatten=flatten_otlp_metrics_exp_batch
+)
+read_otlp_metrics_summary_json = functools.partial(
+    read_otlp_json, flatten=flatten_otlp_metrics_summary_batch
+)

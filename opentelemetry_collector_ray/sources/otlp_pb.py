@@ -1,30 +1,45 @@
-"""OTLP/pb binary logs interchange — the protobuf wire format.
+"""OTLP/pb binary interchange — the protobuf wire format for logs,
+traces and metrics.
 
-The reference ships two wire codecs for ``ExportLogsServiceRequest``:
-proto3 JSON (pdata/plog/json.go:27-49) and binary protobuf
-(pdata/plog/pb.go:24-44, the gRPC payload). ``otlp_json.py`` covers the
-first; this module covers the second, reusing the SAME vectorized
-nest/flatten halves so both wires share one tree layout:
+The reference ships two wire codecs per signal: proto3 JSON
+(pdata/plog/json.go:27-49) and binary protobuf (pdata/plog/pb.go:24-44,
+the gRPC payload; ptrace/pb.go and pmetric/pb.go have the same shape).
+``otlp_json.py`` and its traces/metrics siblings cover the first; this
+module covers the second for all three signals. Each signal is one
+``Signal`` entry in ``SIGNALS`` — its request root and message, its
+typed tree, its nest/flatten halves, its ID fields — and ONE codec runs
+over that table, reusing the SAME vectorized nest/flatten halves so
+both wires share one tree layout:
 
-    transcripts --nest_otlp_batch--> request tree --encode--> .binpb
-    .binpb --decode--> request tree --flatten_otlp_batch--> flat table
+    transcripts --signal.nest--> request tree --encode_request--> .binpb
+    .binpb --decode_request--> request tree --typed_trees-->
+        typed nested table --signal.flatten--> flat table
+
+The per-signal public names (``encode_logs_request``,
+``read_otlp_traces_pb``, ``write_otlp_metrics_pb``, …) are each one
+signal's ``functools.partial`` of that codec.
 
 The message schema is declared at runtime from the PUBLIC
 opentelemetry-proto definitions (opentelemetry/proto/{common,resource,
-logs}/v1 + collector/logs/v1) via ``descriptor_pb2`` — no generated
-code, no vendored .proto files. Field numbers and wire types match the
-published schema exactly, so these bytes interoperate with any real
-OTLP consumer; ``severity_number`` is declared int32 instead of the
-named enum (identical varint wire form; proto3 JSON then renders the
-integer, matching the JSON codec's output).
+logs,trace,metrics}/v1 + collector/*/v1) via ``descriptor_pb2`` — no
+generated code, no vendored .proto files. Field numbers and wire types
+match the published schema exactly, so these bytes interoperate with
+any real OTLP consumer; ``severity_number`` is declared int32 instead
+of the named enum (identical varint wire form; proto3 JSON then renders
+the integer, matching the JSON codec's output).
 
 Cost model: encode/decode run once per REQUEST (= one Ray batch) at
 the codec boundary, exactly like the NDJSON writer's ``json.dumps`` —
 the per-record tree walk lives in protobuf's C (upb) backend plus one
-dict pass; everything inside the pipeline stays columnar.
+dict pass over the ID fields; everything inside the pipeline stays
+columnar.
 """
 
 from __future__ import annotations
+
+import base64
+import dataclasses
+import functools
 
 import pyarrow as pa
 import ray.data
@@ -33,13 +48,13 @@ from . import wirefs
 from .wirefs import unframe_requests
 from .otlp_json import (
     _COMPRESS_EXT,
-    REQUEST_ROWS,
     _KV,
     _strip_nulls,
     compress_payload,
     decompress_payload,
     flatten_otlp_batch,
     nest_otlp_batch,
+    write_requests,
 )
 from .otlp_metrics import (
     _RESOURCE_METRICS,
@@ -173,9 +188,11 @@ def _classes() -> dict:
     __reduce__ is a qualname lookup), which breaks pickle-by-value
     workers that have no importable copy of this package; and a cache
     dict populated on the driver would drag unpicklable upb classes
-    into the closure. Callers running per batch build once per CALL
-    (_PbWriter.__call__ / _decode_batch) and reuse across the batch —
-    pool construction is microseconds next to a batch serialize."""
+    into the closure. A call costs 0.6–1.2 ms (the median of 50 calls
+    on one vCPU, across runs), so callers build once and pass the class
+    in: the batch readers and writers once per batch (``_decode_batch``,
+    ``_PbWriter.__call__``), the HTTP listener once for its lifetime —
+    a per-request ``_classes()`` would add that to every ack."""
     from google.protobuf import descriptor_pb2 as dp
     from google.protobuf import descriptor_pool, message_factory
 
@@ -527,73 +544,114 @@ def _classes() -> dict:
     }
 
 
-def _log_ids_hex_to_b64(tree: list) -> list:
-    """LogRecord trace/span correlation IDs: hex on the OTLP JSON wire,
-    base64 for json_format (same deviation as the span IDs)."""
-    import base64
+@dataclasses.dataclass(frozen=True)
+class Signal:
+    """One OTLP signal's codec spec: everything the wire codecs need to
+    know about it (the reference gives every signal the same marshaler
+    pair over one proto — pdata/plog/pb.go, ptrace/pb.go, pmetric/pb.go).
 
-    for rl in tree:
-        for sl in rl.get("scopeLogs", []):
-            for rec in sl.get("logRecords", []):
-                for f in ("traceId", "spanId"):
-                    v = rec.get(f)
-                    if v is not None:
-                        rec[f] = base64.b64encode(bytes.fromhex(v)).decode()
-    return tree
+    ``root`` is the request's one repeated field (proto3-JSON name),
+    ``request`` the ``_classes()`` key of its request message,
+    ``tree_type`` the Arrow type of ``root`` (proto3 omits unset fields,
+    so decoded trees are typed explicitly, never inferred), ``nest`` /
+    ``flatten`` the flat-table ↔ request-tree halves, ``prefix`` the
+    ``.binpb`` file-name prefix, and ``ids`` the ``(path, fields)`` pairs
+    under each resource that carry trace/span IDs — hex on the OTLP JSON
+    wire, raw bytes on the binary one."""
 
-
-def _log_ids_b64_to_hex(tree: list) -> list:
-    import base64
-
-    for rl in tree:
-        for sl in rl.get("scopeLogs", []):
-            for rec in sl.get("logRecords", []):
-                for f in ("traceId", "spanId"):
-                    v = rec.get(f)
-                    if v is not None:
-                        rec[f] = base64.b64decode(v).hex()
-    return tree
+    root: str
+    request: str
+    tree_type: pa.DataType
+    nest: object
+    flatten: object
+    prefix: str
+    ids: tuple = ()
 
 
-def encode_logs_request(request_row: dict, request_cls=None) -> bytes:
-    """One nested request row (``nest_otlp_batch`` output, pylist form)
-    → OTLP/pb bytes. The proto3-JSON dict IS the interchange between
-    the two codecs: strip the nulls json would omit, convert hex
-    correlation IDs to the base64 json_format expects for bytes, let
-    ParseDict apply the standard JSON mapping (camelCase names,
-    int64-as-string), serialize."""
+SIGNALS = {
+    "logs": Signal(
+        "resourceLogs", "request", _RESOURCE_LOGS,
+        nest_otlp_batch, flatten_otlp_batch, "otlp",
+        ((("scopeLogs", "logRecords"), ("traceId", "spanId")),),
+    ),
+    "traces": Signal(
+        "resourceSpans", "trace_request", _RESOURCE_SPANS,
+        nest_otlp_traces_batch, flatten_otlp_traces_batch, "otlp-traces",
+        (
+            (("scopeSpans", "spans"), ("traceId", "spanId", "parentSpanId")),
+            (("scopeSpans", "spans", "links"), ("traceId", "spanId")),
+        ),
+    ),
+    "metrics": Signal(
+        "resourceMetrics", "metrics_request", _RESOURCE_METRICS,
+        nest_otlp_metrics_batch, flatten_otlp_metrics_batch, "otlp-metrics",
+    ),
+}
+
+
+def _convert_ids(signal: Signal, resources: list, fn) -> None:
+    """Apply ``fn`` in place to every ID field ``signal.ids`` names under
+    ``resources`` — only those paths, never the whole tree. OTLP JSON
+    carries trace/span IDs as hex; standard proto3 JSON (what
+    json_format implements) expects base64 for bytes. The Go codec has
+    custom ID marshaling (pdata/pcommon/trace_id.go); this is its
+    Python analogue at the codec boundary."""
+    for path, fields in signal.ids:
+        nodes = resources
+        for key in path:
+            nodes = [child for node in nodes for child in node.get(key, ())]
+        for node in nodes:
+            for f in fields:
+                v = node.get(f)
+                if v is not None:
+                    node[f] = fn(v)
+
+
+def encode_request(signal: Signal, request_row: dict, request_cls=None) -> bytes:
+    """One nested request row (``signal.nest`` output, pylist form, IDs
+    in hex) → OTLP/pb bytes. The proto3-JSON dict IS the interchange
+    between the two codecs: strip the nulls json would omit, convert hex
+    IDs to the base64 json_format expects for bytes, let ParseDict
+    apply the standard JSON mapping (camelCase names, int64-as-string),
+    serialize."""
     from google.protobuf import json_format
 
     if request_cls is None:
-        request_cls = _classes()["request"]
+        request_cls = _classes()[signal.request]
+    # _strip_nulls rebuilds every dict/list, so the in-place ID
+    # conversion never touches the caller's tree
     row = _strip_nulls(request_row)
-    row["resourceLogs"] = _log_ids_hex_to_b64(row.get("resourceLogs", []))
+    _convert_ids(
+        signal,
+        row.get(signal.root, []),
+        lambda v: base64.b64encode(bytes.fromhex(v)).decode(),
+    )
     msg = request_cls()
     json_format.ParseDict(row, msg)
     return msg.SerializeToString()
 
 
-def decode_logs_request(buf: bytes, request_cls=None) -> dict:
+def decode_request(signal: Signal, buf: bytes, request_cls=None) -> dict:
     """OTLP/pb bytes → proto3-JSON dict (camelCase, int64 as string,
-    correlation IDs back to hex) — the exact tree the NDJSON reader
-    would produce."""
+    IDs back to hex) — the exact tree the NDJSON reader would
+    produce."""
     from google.protobuf import json_format
 
     if request_cls is None:
-        request_cls = _classes()["request"]
+        request_cls = _classes()[signal.request]
     msg = request_cls()
     msg.ParseFromString(bytes(buf))
     tree = json_format.MessageToDict(msg)
-    tree["resourceLogs"] = _log_ids_b64_to_hex(tree.get("resourceLogs", []))
+    _convert_ids(
+        signal, tree.get(signal.root, []), lambda v: base64.b64decode(v).hex()
+    )
     return tree
 
 
-# (kind → runtime request-class key, per-request encode fn, file prefix)
-_PB_KINDS = {
-    "logs": ("request", encode_logs_request, "otlp"),
-    "traces": ("trace_request", None, "otlp-traces"),  # filled in below
-    "metrics": ("metrics_request", None, "otlp-metrics"),
-}
+def typed_trees(signal: Signal, trees: list) -> pa.Table:
+    """Decoded ``signal.root`` lists, one per request → the typed nested
+    table ``signal.flatten`` takes."""
+    return pa.table({signal.root: pa.array(trees, type=signal.tree_type)})
 
 
 class _PbWriter:
@@ -608,288 +666,84 @@ class _PbWriter:
         self,
         out_dir: str,
         compression: str | None = None,
-        kind: str = "logs",
+        *,
+        signal: Signal,
         filesystem=None,
     ):
         self.out_dir = out_dir
         self.compression = compression
-        self.kind = kind
+        self.signal = signal
         self.filesystem = filesystem
         self.ext = ".binpb" + _COMPRESS_EXT.get(compression or "", "")
         self._dir_ready = False
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        cls_key, encode, prefix = _PB_KINDS[self.kind]
-        req_cls = _classes()[cls_key]  # once per batch, per worker
+        req_cls = _classes()[self.signal.request]  # once per batch, per worker
         fs, dir_path = wirefs.resolve_fs(self.out_dir, self.filesystem)
         if not self._dir_ready:
             wirefs.ensure_dir(fs, dir_path)
             self._dir_ready = True
-        blobs = [encode(row, req_cls) for row in t.to_pylist()]
+        blobs = [encode_request(self.signal, row, req_cls) for row in t.to_pylist()]
         if blobs:
             payload = compress_payload(
                 wirefs.frame_requests(blobs), self.compression
             )
-            name = wirefs.content_name(prefix, payload, self.ext)
+            name = wirefs.content_name(self.signal.prefix, payload, self.ext)
             wirefs.atomic_write(fs, dir_path, name, payload)
-        return pa.table({"requests": pa.array([len(blobs)], type=pa.int64())})
+        return pa.table({"rows": pa.array([len(blobs)], type=pa.int64())})
 
 
-def _write_pb(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    compression: str | None,
-    rows_per_request: int | None,
-    nest_fn,
-    kind: str,
-    requests_per_file: int | None = None,
-    filesystem=None,
-    storage_options: dict | None = None,
-    overwrite: bool = True,
-) -> int:
-    fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-    wirefs.prepare_dir(fs, dir_path, overwrite)
-    nested = ds.map_batches(
-        nest_fn,
-        batch_format="pyarrow",
-        batch_size=rows_per_request or REQUEST_ROWS,
-    )
-    written = nested.map_batches(
-        _PbWriter(dir_path, compression, kind, filesystem=fs),
-        batch_format="pyarrow",
-        batch_size=requests_per_file or wirefs.REQUESTS_PER_FILE,
-    ).sum("requests")
-    return int(written or 0)
-
-
-def write_otlp_logs_pb(
+def write_otlp_pb(
     ds: ray.data.Dataset,
     out_dir: str,
     compression: str | None = None,
     rows_per_request: int | None = None,
+    *,
+    signal: Signal,
     **fs_opts,
 ) -> int:
     """Marshal: transcript rows → nested request trees → framed binary
     OTLP protobuf files (``requests_per_file`` Export payloads per
     file; ``out_dir`` may be a filesystem URI). Returns the number of
     requests written."""
-    return _write_pb(
-        ds, out_dir, compression, rows_per_request, nest_otlp_batch,
-        "logs", **fs_opts,
+    return write_requests(
+        ds, out_dir, compression, rows_per_request, nest=signal.nest,
+        writer=functools.partial(_PbWriter, signal=signal), **fs_opts,
     )
 
 
-def _decode_batch(t: pa.Table) -> pa.Table:
-    """read_binary_files block → flat records. Each row is one FILE
+def _decode_batch(signal: Signal, t: pa.Table) -> pa.Table:
+    """read_binary_files block → flat rows. Each row is one FILE
     payload holding one or more framed request blobs; decompress by
     payload magic, unframe (a bare unframed request passes through),
-    decode all, type the trees explicitly (proto3 omits unset fields,
-    so inference can't be trusted), flatten once."""
-    blobs = t["bytes"].to_pylist()
-    paths = t["path"].to_pylist()
-    req_cls = _classes()["request"]  # once per batch, per worker
+    decode all, type the trees explicitly, flatten once."""
+    req_cls = _classes()[signal.request]  # once per batch, per worker
     trees = [
-        decode_logs_request(req, req_cls).get("resourceLogs", [])
-        for b, p in zip(blobs, paths)
+        decode_request(signal, req, req_cls).get(signal.root, [])
+        for b, p in zip(t["bytes"].to_pylist(), t["path"].to_pylist())
         for req in unframe_requests(decompress_payload(b, p))
     ]
-    nested = pa.table({"resourceLogs": pa.array(trees, type=_RESOURCE_LOGS)})
-    return flatten_otlp_batch(nested)
+    return signal.flatten(typed_trees(signal, trees))
 
 
-def read_otlp_logs_pb(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: .binpb files of ExportLogsServiceRequest → flat
-    records (same schema as ``read_otlp_logs_json``)."""
+def read_otlp_pb(paths, filesystem=None, *, signal: Signal) -> ray.data.Dataset:
+    """Unmarshal: .binpb files of Export requests → flat rows (the same
+    schema as the signal's NDJSON reader)."""
     return ray.data.read_binary_files(
         paths, include_paths=True, filesystem=filesystem
-    ).map_batches(_decode_batch, batch_format="pyarrow")
+    ).map_batches(functools.partial(_decode_batch, signal), batch_format="pyarrow")
 
 
-# --------------------------------------------------------------- traces
-
-_ID_FIELDS = ("traceId", "spanId", "parentSpanId")
-
-
-def _ids_hex_to_b64(tree: list) -> list:
-    """OTLP JSON carries trace/span IDs as HEX; standard proto3 JSON
-    (what json_format implements) expects base64 for bytes. The Go
-    codec has custom ID marshaling (pdata/pcommon/trace_id.go) — this
-    is its Python analogue at the codec boundary."""
-    import base64
-
-    for rs in tree:
-        for ss in rs.get("scopeSpans", []):
-            for span in ss.get("spans", []):
-                for f in _ID_FIELDS:
-                    v = span.get(f)
-                    if v is not None:
-                        span[f] = base64.b64encode(bytes.fromhex(v)).decode()
-                for link in span.get("links", []):
-                    for f in ("traceId", "spanId"):
-                        v = link.get(f)
-                        if v is not None:
-                            link[f] = base64.b64encode(
-                                bytes.fromhex(v)
-                            ).decode()
-    return tree
-
-
-def _ids_b64_to_hex(tree: list) -> list:
-    import base64
-
-    for rs in tree:
-        for ss in rs.get("scopeSpans", []):
-            for span in ss.get("spans", []):
-                for f in _ID_FIELDS:
-                    v = span.get(f)
-                    if v is not None:
-                        span[f] = base64.b64decode(v).hex()
-                for link in span.get("links", []):
-                    for f in ("traceId", "spanId"):
-                        v = link.get(f)
-                        if v is not None:
-                            link[f] = base64.b64decode(v).hex()
-    return tree
-
-
-def encode_traces_request(request_row: dict, request_cls=None) -> bytes:
-    """One nested request row (``nest_otlp_traces_batch`` output,
-    pylist form, IDs in hex) → OTLP/pb bytes (IDs as raw bytes)."""
-    from google.protobuf import json_format
-
-    if request_cls is None:
-        request_cls = _classes()["trace_request"]
-    # _strip_nulls rebuilds every dict/list, so the in-place ID
-    # conversion below never touches the caller's tree
-    row = _strip_nulls(request_row)
-    row["resourceSpans"] = _ids_hex_to_b64(row.get("resourceSpans", []))
-    msg = request_cls()
-    json_format.ParseDict(row, msg)
-    return msg.SerializeToString()
-
-
-def decode_traces_request(buf: bytes, request_cls=None) -> dict:
-    """OTLP/pb bytes → proto3-JSON dict with the OTLP hex-ID form —
-    the exact tree the NDJSON reader would produce."""
-    from google.protobuf import json_format
-
-    if request_cls is None:
-        request_cls = _classes()["trace_request"]
-    msg = request_cls()
-    msg.ParseFromString(bytes(buf))
-    tree = json_format.MessageToDict(msg)
-    tree["resourceSpans"] = _ids_b64_to_hex(tree.get("resourceSpans", []))
-    return tree
-
-
-_PB_KINDS["traces"] = ("trace_request", encode_traces_request, "otlp-traces")
-
-
-def write_otlp_traces_pb(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    compression: str | None = None,
-    rows_per_request: int | None = None,
-    **fs_opts,
-) -> int:
-    """Marshal: transcript rows → nested trace request trees → framed
-    binary OTLP protobuf files. Returns the number of requests
-    written."""
-    return _write_pb(
-        ds, out_dir, compression, rows_per_request, nest_otlp_traces_batch,
-        "traces", **fs_opts,
-    )
-
-
-def _decode_traces_batch(t: pa.Table) -> pa.Table:
-    blobs = t["bytes"].to_pylist()
-    paths = t["path"].to_pylist()
-    req_cls = _classes()["trace_request"]  # once per batch, per worker
-    trees = [
-        decode_traces_request(req, req_cls).get("resourceSpans", [])
-        for b, p in zip(blobs, paths)
-        for req in unframe_requests(decompress_payload(b, p))
-    ]
-    nested = pa.table(
-        {"resourceSpans": pa.array(trees, type=_RESOURCE_SPANS)}
-    )
-    return flatten_otlp_traces_batch(nested)
-
-
-def read_otlp_traces_pb(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: .binpb files of ExportTraceServiceRequest → flat
-    spans (same schema as ``read_otlp_traces_json``)."""
-    return ray.data.read_binary_files(
-        paths, include_paths=True, filesystem=filesystem
-    ).map_batches(_decode_traces_batch, batch_format="pyarrow")
-
-
-# -------------------------------------------------------------- metrics
-
-
-def encode_metrics_request(request_row: dict, request_cls=None) -> bytes:
-    """One nested request row (``nest_otlp_metrics_batch`` output,
-    pylist form) → OTLP/pb bytes. No ID fields to convert — the plain
-    proto3-JSON mapping applies throughout."""
-    from google.protobuf import json_format
-
-    if request_cls is None:
-        request_cls = _classes()["metrics_request"]
-    msg = request_cls()
-    json_format.ParseDict(_strip_nulls(request_row), msg)
-    return msg.SerializeToString()
-
-
-def decode_metrics_request(buf: bytes, request_cls=None) -> dict:
-    from google.protobuf import json_format
-
-    if request_cls is None:
-        request_cls = _classes()["metrics_request"]
-    msg = request_cls()
-    msg.ParseFromString(bytes(buf))
-    return json_format.MessageToDict(msg)
-
-
-_PB_KINDS["metrics"] = (
-    "metrics_request",
-    encode_metrics_request,
-    "otlp-metrics",
-)
-
-
-def write_otlp_metrics_pb(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    compression: str | None = None,
-    rows_per_request: int | None = None,
-    **fs_opts,
-) -> int:
-    """Marshal: transcript rows → nested metrics request trees →
-    framed binary OTLP protobuf files. Returns the request count."""
-    return _write_pb(
-        ds, out_dir, compression, rows_per_request, nest_otlp_metrics_batch,
-        "metrics", **fs_opts,
-    )
-
-
-def _decode_metrics_batch(t: pa.Table) -> pa.Table:
-    blobs = t["bytes"].to_pylist()
-    paths = t["path"].to_pylist()
-    req_cls = _classes()["metrics_request"]
-    trees = [
-        decode_metrics_request(req, req_cls).get("resourceMetrics", [])
-        for b, p in zip(blobs, paths)
-        for req in unframe_requests(decompress_payload(b, p))
-    ]
-    nested = pa.table(
-        {"resourceMetrics": pa.array(trees, type=_RESOURCE_METRICS)}
-    )
-    return flatten_otlp_metrics_batch(nested)
-
-
-def read_otlp_metrics_pb(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: .binpb files of ExportMetricsServiceRequest → flat
-    datapoints (same schema as ``read_otlp_metrics_json``)."""
-    return ray.data.read_binary_files(
-        paths, include_paths=True, filesystem=filesystem
-    ).map_batches(_decode_metrics_batch, batch_format="pyarrow")
+# The per-signal public names, each one signal's view of the codec above
+encode_logs_request = functools.partial(encode_request, SIGNALS["logs"])
+decode_logs_request = functools.partial(decode_request, SIGNALS["logs"])
+write_otlp_logs_pb = functools.partial(write_otlp_pb, signal=SIGNALS["logs"])
+read_otlp_logs_pb = functools.partial(read_otlp_pb, signal=SIGNALS["logs"])
+encode_traces_request = functools.partial(encode_request, SIGNALS["traces"])
+decode_traces_request = functools.partial(decode_request, SIGNALS["traces"])
+write_otlp_traces_pb = functools.partial(write_otlp_pb, signal=SIGNALS["traces"])
+read_otlp_traces_pb = functools.partial(read_otlp_pb, signal=SIGNALS["traces"])
+encode_metrics_request = functools.partial(encode_request, SIGNALS["metrics"])
+decode_metrics_request = functools.partial(decode_request, SIGNALS["metrics"])
+write_otlp_metrics_pb = functools.partial(write_otlp_pb, signal=SIGNALS["metrics"])
+read_otlp_metrics_pb = functools.partial(read_otlp_pb, signal=SIGNALS["metrics"])

@@ -33,27 +33,26 @@ UNIQUE conv_id via factorize.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from ..schema import DIM_TOOL_SERVICE
-from . import wirefs
-from .otlp_json import REQUEST_ROWS
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
     _require_non_null_keys,
     _KV,
-    _NdjsonWriter,
     _attr_first,
     _i64_strings,
     _kv_list,
     _md5_hex,
-    _ndjson_requests,
     _opt_field,
     _str,
+    read_otlp_json,
+    write_requests,
 )
 
 # role → SpanKind integer (trace.proto SpanKind enum)
@@ -428,39 +427,9 @@ def flatten_otlp_traces_batch(t: pa.Table) -> pa.Table:
     )
 
 
-def write_otlp_traces_json(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    compression: str | None = None,
-    rows_per_request: int | None = None,
-    *,
-    requests_per_file: int | None = None,
-    filesystem=None,
-    storage_options: dict | None = None,
-    overwrite: bool = True,
-) -> int:
-    """Marshal: one ExportTraceServiceRequest JSON object per request,
-    ``requests_per_file`` requests per NDJSON file (null fields
-    omitted — the proto3 JSON wire form, IDs in hex), optionally
-    wire-compressed. ``out_dir`` may be a filesystem URI. Returns the
-    number of requests written."""
-    fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-    wirefs.prepare_dir(fs, dir_path, overwrite)
-    nested = ds.map_batches(
-        nest_otlp_traces_batch,
-        batch_format="pyarrow",
-        batch_size=rows_per_request or REQUEST_ROWS,
-    )
-    written = nested.map_batches(
-        _NdjsonWriter(dir_path, compression, filesystem=fs),
-        batch_format="pyarrow",
-        batch_size=requests_per_file or wirefs.REQUESTS_PER_FILE,
-    ).sum("rows")
-    return int(written or 0)
-
-
-def read_otlp_traces_json(paths, filesystem=None) -> ray.data.Dataset:
-    """Unmarshal: NDJSON of ExportTraceServiceRequest → flat spans."""
-    return _ndjson_requests(paths, filesystem).map_batches(
-        flatten_otlp_traces_batch, batch_format="pyarrow"
-    )
+write_otlp_traces_json = functools.partial(
+    write_requests, nest=nest_otlp_traces_batch
+)
+read_otlp_traces_json = functools.partial(
+    read_otlp_json, flatten=flatten_otlp_traces_batch
+)

@@ -17,6 +17,11 @@ receiver's atomically republished open spool segment (one file per
 queue+storage acceptance contract. From the spool onward the checkpoint ledger makes
 processing exactly-once (``state.checkpoint.run_partitioned``).
 
+Decoding is one ``_flatten_request`` for every signal and both wires,
+over the URL signal's ``otlp_pb.SIGNALS`` entry: protobuf bodies go
+decode → ``typed_trees`` → flatten, JSON bodies go Arrow's JSON parser
+→ flatten.
+
 Backpressure (otlphttp's 429 path, confighttp + exporterhelper
 Retry-After convention): two independent gates, both answering
 ``429 Too Many Requests`` with a ``Retry-After`` hint —
@@ -49,81 +54,65 @@ import threading
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.json as pj
 
 import ray
 
 # module-level imports only: worker/thread code must not do
 # function-body imports of this package (pickle-by-value contract)
 from ..sources.otlp_json import decompress_payload, flatten_otlp_batch
-from ..sources.otlp_metrics import (
-    _RESOURCE_METRICS,
-    flatten_otlp_metrics_batch,
-)
+from ..sources.otlp_metrics import flatten_otlp_metrics_batch
 from ..sources.otlp_pb import (
-    _RESOURCE_LOGS,
-    _RESOURCE_SPANS,
+    SIGNALS,
     _classes,
     decode_logs_request,
     decode_metrics_request,
     decode_traces_request,
+    typed_trees,
 )
 from ..sources.otlp_traces import flatten_otlp_traces_batch
 
 _PB_TYPES = ("application/x-protobuf", "application/protobuf")
 _JSON_TYPES = ("application/json",)
 
+# signal → the (decode, flatten) pair _flatten_request calls, as the
+# NAMES of this module's globals, resolved on every request: perfbench's
+# traced run times the listener by rebinding decode_logs_request and
+# flatten_otlp_batch here
+_CODEC_NAMES = {
+    "logs": ("decode_logs_request", "flatten_otlp_batch"),
+    "traces": ("decode_traces_request", "flatten_otlp_traces_batch"),
+    "metrics": ("decode_metrics_request", "flatten_otlp_metrics_batch"),
+}
 
-def _flatten_json_request(body: bytes, root: str) -> pa.Table | None:
-    """OTLP/JSON request bytes → flat rows, through the same Arrow
-    JSON parser + flatten kernel as the NDJSON file reader (so wire
-    typing — 64-bit ints as strings, hex ids — is handled once).
-    Returns None for a zero-element request (the reference accepts an
-    empty Export; Arrow infers its empty list as list<null>, which the
-    flatten kernels rightly refuse)."""
-    import pyarrow.compute as _pc
-    import pyarrow.json as pj
 
+def _flatten_request(
+    body: bytes, signal: str, is_pb: bool, classes: dict
+) -> pa.Table | None:
+    """One Export request's wire bytes → flat rows, through the same
+    kernels as the file readers: binary protobuf goes decode → typed
+    tree (``typed_trees``), OTLP/JSON goes through Arrow's JSON parser
+    (so wire typing — 64-bit ints as strings, hex ids — is handled
+    once), and both end in the signal's flatten. ``classes`` is the
+    caller's ``_classes()``: building it costs about a millisecond, too
+    much to repeat per request. Returns None for a zero-element JSON
+    request (the reference accepts an empty Export; Arrow infers its
+    empty list as list<null>, which the flatten kernels rightly
+    refuse)."""
+    sig = SIGNALS[signal]
+    decode, flatten = (globals()[name] for name in _CODEC_NAMES[signal])
+    if is_pb:
+        tree = decode(body, classes[sig.request]).get(sig.root, [])
+        return flatten(typed_trees(sig, [tree]))
     opts = pj.ReadOptions(block_size=max(1 << 20, len(body) + 1))
     nested = pj.read_json(pa.BufferReader(body), read_options=opts)
-    if root not in nested.column_names:
+    if sig.root not in nested.column_names:
         return None
-    n_elems = _pc.sum(
-        _pc.coalesce(_pc.list_value_length(nested[root]), 0)
-    ).as_py()
-    if not n_elems:
+    n_elems = pc.sum(pc.coalesce(pc.list_value_length(nested[sig.root]), 0))
+    if not n_elems.as_py():
         return None
-    if root == "resourceLogs":
-        return flatten_otlp_batch(nested)
-    if root == "resourceSpans":
-        return flatten_otlp_traces_batch(nested)
-    return flatten_otlp_metrics_batch(nested)
-
-
-def _flatten_pb_request(body: bytes, root: str, classes: dict) -> pa.Table:
-    """Binary ExportXServiceRequest bytes → flat rows, through the same
-    decode + typed-tree + flatten kernels as the .binpb file reader."""
-    if root == "resourceLogs":
-        tree = decode_logs_request(body, classes["request"]).get(root, [])
-        nested = pa.table({root: pa.array([tree], type=_RESOURCE_LOGS)})
-        return flatten_otlp_batch(nested)
-    if root == "resourceSpans":
-        tree = decode_traces_request(body, classes["trace_request"]).get(
-            root, []
-        )
-        nested = pa.table({root: pa.array([tree], type=_RESOURCE_SPANS)})
-        return flatten_otlp_traces_batch(nested)
-    tree = decode_metrics_request(body, classes["metrics_request"]).get(
-        root, []
-    )
-    nested = pa.table({root: pa.array([tree], type=_RESOURCE_METRICS)})
-    return flatten_otlp_metrics_batch(nested)
-
-
-_SIGNAL_ROOTS = {
-    "logs": "resourceLogs",
-    "traces": "resourceSpans",
-    "metrics": "resourceMetrics",
-}
+    return flatten(nested)
 
 
 def _linger(h, limit: int = 1 << 20, timeout: float = 1.0) -> None:
@@ -170,7 +159,7 @@ class OtlpHttpListener:
         spool_dir: str | None = None,
         retry_after_s: int = 1,
     ):
-        unknown = set(receivers) - set(_SIGNAL_ROOTS)
+        unknown = set(receivers) - set(SIGNALS)
         if unknown:
             raise ValueError(f"unknown signals: {sorted(unknown)}")
         if max_spool_backlog is not None and spool_dir is None:
@@ -272,7 +261,7 @@ class OtlpHttpListener:
             return self._refuse(h, 404, f"unknown path {path!r}")
         signal = path[len("/v1/") :]
         actor = self.receivers.get(signal)
-        if signal not in _SIGNAL_ROOTS or actor is None:
+        if signal not in SIGNALS or actor is None:
             return self._refuse(h, 404, f"unknown path {path!r}")
         ctype = (h.headers.get("Content-Type") or "").split(";")[0].strip()
         is_pb = ctype in _PB_TYPES
@@ -291,7 +280,6 @@ class OtlpHttpListener:
             if self._spool_saturated():
                 return self._refuse(h, 429, "spool backlog full", True)
             body = h.rfile.read(int(h.headers["Content-Length"]))
-            root = _SIGNAL_ROOTS[signal]
             try:
                 # Content-Encoding by payload MAGIC, never the header
                 # alone (read_binary_files quirk generalized: a lying
@@ -299,11 +287,7 @@ class OtlpHttpListener:
                 # /zstd stream raising here is an undecodable payload
                 # (400), not a dropped connection
                 body = decompress_payload(body)
-                flat = (
-                    _flatten_pb_request(body, root, self._classes)
-                    if is_pb
-                    else _flatten_json_request(body, root)
-                )
+                flat = _flatten_request(body, signal, is_pb, self._classes)
             except Exception as e:  # undecodable wire bytes
                 return self._refuse(h, 400, f"cannot decode request: {e}")
             # durable=True: the 200 ack means a fsynced spool segment —

@@ -58,6 +58,7 @@ handle drops — see CLAUDE.md).
 from __future__ import annotations
 
 import os
+import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -93,16 +94,18 @@ class SpoolReceiverActor:
         self.accepted = 0
         self.landed_files = 0
         # crash-safe restart: continue the sequence after existing spool
-        # files, clean any torn tmp files from a previous incarnation
+        # files, clean any torn tmp files from a previous incarnation.
+        # Names are matched in full: receiver "r0" must neither delete
+        # nor count receiver "r0-b"'s files in a shared spool directory
+        rid = re.escape(receiver_id)
+        tmp_name = re.compile(rf"\.tmp-{rid}-\d+")
+        seg_name = re.compile(rf"{rid}-(\d{{8,}})\.parquet")
         seqs = []
         for name in os.listdir(spool_dir):
-            if name.startswith(f".tmp-{receiver_id}-"):
+            if tmp_name.fullmatch(name):
                 os.unlink(os.path.join(spool_dir, name))
-            elif name.startswith(f"{receiver_id}-") and name.endswith(".parquet"):
-                try:
-                    seqs.append(int(name[len(receiver_id) + 1 : -8]))
-                except ValueError:
-                    pass
+            elif m := seg_name.fullmatch(name):
+                seqs.append(int(m.group(1)))
         self.seq = max(seqs) + 1 if seqs else 0
 
     def export(self, rows: list[dict], durable: bool = False) -> int:

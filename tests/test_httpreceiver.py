@@ -22,16 +22,27 @@ import pytest
 import ray
 import ray.data
 
+from opentelemetry_collector_ray.fixtures import gen_transcripts
 from opentelemetry_collector_ray.sources.otlp_json import (
     _strip_nulls,
     flatten_otlp_batch,
     nest_otlp_batch,
+    read_otlp_json,
 )
-from opentelemetry_collector_ray.sources.otlp_pb import encode_logs_request
+from opentelemetry_collector_ray.sources.otlp_pb import (
+    SIGNALS,
+    _classes,
+    encode_logs_request,
+    encode_request,
+    read_otlp_pb,
+)
 from opentelemetry_collector_ray.sources.transcripts import (
     transcripts_from_events,
 )
-from opentelemetry_collector_ray.state.httpreceiver import OtlpHttpListener
+from opentelemetry_collector_ray.state.httpreceiver import (
+    OtlpHttpListener,
+    _flatten_request,
+)
 from opentelemetry_collector_ray.state.receiver import SpoolReceiverActor
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -207,6 +218,68 @@ def test_http_listener_traces_and_metrics_signals(tmp_path):
             assert key in landed.columns
     finally:
         lis.stop()
+
+
+# every ID field of a request, as protobuf attribute paths from its root
+_WIRE_IDS = {
+    "logs": [
+        (("resource_logs", "scope_logs", "log_records"), ("trace_id", "span_id")),
+    ],
+    "traces": [
+        (
+            ("resource_spans", "scope_spans", "spans"),
+            ("trace_id", "span_id", "parent_span_id"),
+        ),
+        (("resource_spans", "scope_spans", "spans", "links"), ("trace_id", "span_id")),
+    ],
+    "metrics": [],
+}
+
+
+@pytest.mark.parametrize("signal", sorted(SIGNALS))
+def test_listener_and_file_readers_flatten_alike(tmp_path, signal):
+    """One request, four paths to flat rows: the listener's flatten of
+    its protobuf bytes and of its OTLP/JSON bytes, and the .binpb and
+    NDJSON file readers over that request written to a file. The rows
+    carry the IDs the hex↔bytes conversion walks: log trace/span IDs,
+    span parent IDs and span links."""
+    sig = SIGNALS[signal]
+    row = sig.nest(gen_transcripts(3)).to_pylist()[0]
+    pb = encode_request(sig, row)
+    js = json.dumps(_strip_nulls(row)).encode()
+    classes = _classes()
+    (tmp_path / "req.binpb").write_bytes(pb)
+    (tmp_path / "req.json").write_bytes(js + b"\n")
+
+    def blocks(ds):  # a reader may also emit schema-less empty blocks
+        return pa.concat_tables(
+            [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
+        )
+
+    tables = [
+        _flatten_request(pb, signal, True, classes),
+        _flatten_request(js, signal, False, classes),
+        blocks(read_otlp_pb(str(tmp_path / "req.binpb"), signal=sig)),
+        blocks(read_otlp_json(str(tmp_path / "req.json"), flatten=sig.flatten)),
+    ]
+    want = tables[0]
+    assert len(want) > 0
+    # on the binary wire every ID is raw bytes: 16 for a trace, 8 for a span
+    msg = classes[sig.request].FromString(pb)
+    for path, fields in _WIRE_IDS[signal]:
+        nodes = [msg]
+        for key in path:
+            nodes = [c for n in nodes for c in getattr(n, key)]
+        ids = [getattr(n, f) for n in nodes for f in fields]
+        assert ids and {len(i) for i in ids if i} == {16, 8}
+    for got in tables[1:]:
+        assert got.schema == want.schema
+        assert got.to_pylist() == want.to_pylist()
+    if signal == "logs":
+        assert want["trace_id"].null_count == want["span_id"].null_count == 0
+    if signal == "traces":
+        assert want["parent_span_id"].null_count < len(want)
+        assert want["link_span_id"].null_count < len(want)
 
 
 def test_http_listener_error_paths(tmp_path):

@@ -268,3 +268,25 @@ def test_durable_publish_order(tmp_path, monkeypatch):
             ("rename", ".tmp-r0-0", "r0-00000000.parquet"),
             ("fsync", "spool"),
         ]
+
+
+def test_restart_keeps_a_sibling_receivers_files(tmp_path):
+    """Receivers "r0" and "r0-b" share a spool directory: r0's start
+    deletes only its own torn tmp file, keeps r0-b's in-flight stage and
+    segments, and continues at its own max(seq) + 1."""
+    import pyarrow.parquet as pq
+
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    for name in ("r0-00000004.parquet", "r0-b-00000009.parquet"):
+        pq.write_table(pa.table({"event_id": [1]}), spool / name)
+    (spool / ".tmp-r0-7").write_text("torn")
+    (spool / ".tmp-r0-b-3").write_text("in flight")
+    rec = SpoolReceiverActor.__ray_actor_class__(str(spool), receiver_id="r0")
+    assert sorted(os.listdir(spool)) == [
+        ".tmp-r0-b-3", "r0-00000004.parquet", "r0-b-00000009.parquet",
+    ]
+    assert rec.seq == 5
+    rec.export_table(pa.table({"event_id": [2]}), durable=True)
+    assert (spool / "r0-00000005.parquet").exists()
+    assert (spool / ".tmp-r0-b-3").read_text() == "in flight"
