@@ -25,11 +25,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from . import wirefs
-from .otlp_json import _NdjsonWriter, _opt_field
+from .otlp_json import _NdjsonWriter, read_otlp_json
 
 _MESSAGE = pa.struct(
     [pa.field("role", pa.string()), pa.field("content", pa.string())]
 )
+_LINE = pa.schema([("conv_id", pa.string()), ("messages", pa.list_(_MESSAGE))])
 
 
 def nest_chat_batch(t: pa.Table) -> pa.Table:
@@ -79,15 +80,6 @@ def nest_chat_batch(t: pa.Table) -> pa.Table:
 def flatten_chat_batch(t: pa.Table) -> pa.Table:
     """(conv_id, messages) rows → flat turns; turn_idx = the message's
     position within its conversation."""
-    if "messages" not in t.column_names:
-        return pa.table(
-            {
-                "conv_id": pa.array([], type=pa.string()),
-                "turn_idx": pa.array([], type=pa.int32()),
-                "role": pa.array([], type=pa.string()),
-                "text": pa.array([], type=pa.string()),
-            }
-        )
     ml = t["messages"]
     if isinstance(ml, pa.ChunkedArray):
         ml = ml.combine_chunks()
@@ -110,8 +102,8 @@ def flatten_chat_batch(t: pa.Table) -> pa.Table:
         {
             "conv_id": conv.take(pa.array(parents, type=pa.int64())),
             "turn_idx": pa.array(turn.astype(np.int32), type=pa.int32()),
-            "role": _opt_field(flat, "role", pa.string()),
-            "text": _opt_field(flat, "content", pa.string()),
+            "role": flat.field("role"),
+            "text": flat.field("content"),
         }
     )
 
@@ -148,7 +140,6 @@ def write_chat_jsonl(
 
 
 def read_chat_jsonl(paths) -> ray.data.Dataset:
-    """messages-JSONL files → flat transcript turns."""
-    return ray.data.read_json(paths).map_batches(
-        flatten_chat_batch, batch_format="pyarrow"
-    )
+    """messages-JSONL files → flat transcript turns (the OTLP NDJSON
+    reader with this format's line schema: typed, never inferred)."""
+    return read_otlp_json(paths, schema=_LINE, flatten=flatten_chat_batch)

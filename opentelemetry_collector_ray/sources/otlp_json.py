@@ -8,9 +8,13 @@ pdata/plog/json.go:27-49, pdata/plog/pb.go:24-44). This module is the
 flatten/unflatten pair between that tree and the engine's flat
 transcript table, so a user can point the engine at genuine OTel
 export NDJSON (one request per line) and write it back out. It also
-holds the two bodies every signal shares: ``write_requests`` (nest →
-render → land; NDJSON here, framed protobuf for ``otlp_pb``) and
-``read_otlp_json``. The per-signal writers and readers here and in
+holds what every signal shares: ``resource_tree`` (the typed request
+tree), ``walk_requests`` (the top of every flatten), ``write_requests``
+(nest → render → land; NDJSON here, framed protobuf for ``otlp_pb``),
+``decode_json`` (OTLP/JSON bytes parsed against the typed tree, never
+inferred — the listener's JSON bodies use it too) and
+``read_otlp_json`` (every NDJSON file, plain or gzip/zstd, through
+``decode_json``). The per-signal writers and readers here and in
 ``otlp_traces`` / ``otlp_metrics`` are ``functools.partial``s of them.
 
 Both directions are vectorized:
@@ -40,7 +44,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.json as pj
 import ray.data
+from ray.data._internal.datasource.json_datasource import JSON_FILE_EXTENSIONS
 
 from ..schema import DIM_TOOL_SERVICE, SEVERITY_NUMBER
 from . import wirefs
@@ -49,6 +55,34 @@ _ANYVALUE = pa.struct(
     [pa.field("stringValue", pa.string()), pa.field("intValue", pa.string())]
 )
 _KV = pa.struct([pa.field("key", pa.string()), pa.field("value", _ANYVALUE)])
+_RESOURCE = pa.struct([pa.field("attributes", pa.list_(_KV))])
+_SCOPE = pa.struct([pa.field("name", pa.string()), pa.field("version", pa.string())])
+
+
+def resource_tree(scopes: str, items: str, item: pa.DataType) -> pa.DataType:
+    """Arrow type of an Export request's one repeated field: resources,
+    each with its ``scopes`` list, each with its ``items`` list of
+    ``item`` (log records, spans or metrics). Every signal's tree is
+    this shape; its fields are the ones the engine reads, named as on
+    the proto3-JSON wire."""
+    scope = pa.struct([pa.field("scope", _SCOPE), pa.field(items, pa.list_(item))])
+    return pa.list_(
+        pa.struct([pa.field("resource", _RESOURCE), pa.field(scopes, pa.list_(scope))])
+    )
+
+
+_LOG_RECORD = pa.struct(
+    [
+        pa.field("timeUnixNano", pa.string()),
+        pa.field("severityNumber", pa.int64()),
+        pa.field("severityText", pa.string()),
+        pa.field("body", pa.struct([pa.field("stringValue", pa.string())])),
+        pa.field("attributes", pa.list_(_KV)),
+        pa.field("traceId", pa.string()),
+        pa.field("spanId", pa.string()),
+    ]
+)
+_RESOURCE_LOGS = resource_tree("scopeLogs", "logRecords", _LOG_RECORD)
 
 
 def _kv_list(
@@ -286,130 +320,88 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
     return pa.table({"resourceLogs": resource_logs})
 
 
-def _attr_first(kvlist: pa.ListArray, n: int, key: str, field: str) -> np.ndarray:
+def _attr_first(kvlist: pa.ListArray, key: str, field: str) -> np.ndarray:
     """First-match attribute value per parent (vectorized Get over the
     OTLP entry-list encoding)."""
     parents = pc.list_parent_indices(kvlist).to_numpy(zero_copy_only=False)
     flat = pc.list_flatten(kvlist)
-    keys = np.asarray(
-        _opt_field(flat, "key", pa.string()).to_numpy(zero_copy_only=False),
-        dtype=object,
-    )
-    value_struct = _opt_field(flat, "value", _ANYVALUE)
+    keys = np.asarray(flat.field("key").to_numpy(zero_copy_only=False), dtype=object)
     vals = np.asarray(
-        _opt_field(value_struct, field, pa.string()).to_numpy(
-            zero_copy_only=False
-        ),
+        flat.field("value").field(field).to_numpy(zero_copy_only=False),
         dtype=object,
     )
-    out = np.full(n, None, dtype=object)
+    out = np.full(len(kvlist), None, dtype=object)
     hit = keys == key
     out[parents[hit][::-1]] = vals[hit][::-1]
     return out
 
 
-def _opt_field(sa, name: str, typ: pa.DataType):
-    """Struct field, or typed nulls when the field never appeared in
-    the file (proto3 JSON omits unset fields, so Arrow's reader may
-    not even infer them)."""
-    if sa.type.get_field_index(name) < 0:
-        return pa.nulls(len(sa), typ)
-    return sa.field(name)
+def record_attrs(attrs: pa.ListArray) -> dict:
+    """The conv.id / turn.index / tool columns every signal's records
+    carry (the fixture's transcript identity)."""
+    # proto3 JSON int64-as-string → int32 (bounded: a turn index)
+    turn = pa.array(_attr_first(attrs, "turn.index", "intValue"), type=pa.string())
+    return {
+        "conv_id": pa.array(
+            _attr_first(attrs, "conv.id", "stringValue"), type=pa.string()
+        ),
+        "turn_idx": pc.cast(pc.cast(turn, pa.int64()), pa.int32()),
+        "tool": pa.array(
+            _attr_first(attrs, "tool", "stringValue"), type=pa.string()
+        ),
+    }
+
+
+def walk_requests(t: pa.Table, root: str, scopes: str, items: str):
+    """The resource → scope → item walk every flatten starts with, over
+    a ``resource_tree``-typed ``root`` column. Returns (context, scope
+    index per item, items): ``context`` has one row per scope — its
+    resource's service.name, the scope's name and version — so
+    ``context.take(idx)`` denormalizes it onto any rows."""
+    res = pc.list_flatten(t[root].combine_chunks())
+    attrs = res.field("resource").field("attributes")
+    service = pa.array(
+        _attr_first(attrs, "service.name", "stringValue"), type=pa.string()
+    )
+    sl = res.field(scopes)
+    sc = pc.list_flatten(sl)
+    context = pa.table(
+        {
+            "service": service.take(pc.list_parent_indices(sl)),
+            "scope_name": sc.field("scope").field("name"),
+            "scope_version": sc.field("scope").field("version"),
+        }
+    )
+    il = sc.field(items)
+    return context, pc.list_parent_indices(il), pc.list_flatten(il)
+
+
+def with_context(context: pa.Table, scope_idx, cols: dict) -> pa.Table:
+    """``cols`` behind the ``walk_requests`` context of each row's
+    scope (``scope_idx``)."""
+    rows = context.take(scope_idx)
+    return pa.table({**dict(zip(rows.column_names, rows.columns)), **cols})
 
 
 def flatten_otlp_batch(t: pa.Table) -> pa.Table:
     """ExportLogsServiceRequest rows → flat record table (the unmarshal
     half, plog/json.go UnmarshalLogs): resource/scope context
     denormalized onto every record."""
-    if "resourceLogs" not in t.column_names:
-        # empty reader blocks can arrive schema-less
-        return pa.table(
-            {
-                "service": pa.array([], type=pa.string()),
-                "scope_name": pa.array([], type=pa.string()),
-                "scope_version": pa.array([], type=pa.string()),
-                "time_unix_nano": pa.array([], type=pa.int64()),
-                "severity_number": pa.array([], type=pa.int64()),
-                "severity_text": pa.array([], type=pa.string()),
-                "body": pa.array([], type=pa.string()),
-                "trace_id": pa.array([], type=pa.string()),
-                "span_id": pa.array([], type=pa.string()),
-                "conv_id": pa.array([], type=pa.string()),
-                "turn_idx": pa.array([], type=pa.int32()),
-                "tool": pa.array([], type=pa.string()),
-            }
-        )
-    rl = t["resourceLogs"]
-    if isinstance(rl, pa.ChunkedArray):
-        rl = rl.combine_chunks()
-    res = pc.list_flatten(rl)  # one row per resource entry
-    n_res = len(res)
-    resource = _opt_field(
-        res, "resource", pa.struct([("attributes", pa.list_(_KV))])
+    context, rec_scope, recs = walk_requests(
+        t, "resourceLogs", "scopeLogs", "logRecords"
     )
-    service = _attr_first(
-        _opt_field(resource, "attributes", pa.list_(_KV)),
-        n_res,
-        "service.name",
-        "stringValue",
-    )
-
-    sl = res.field("scopeLogs")
-    scope_parent = pc.list_parent_indices(sl).to_numpy(zero_copy_only=False)
-    scopes = pc.list_flatten(sl)
-    n_scope = len(scopes)
-    scope_struct = _opt_field(
-        scopes, "scope", pa.struct([("name", pa.string()), ("version", pa.string())])
-    )
-    scope_name = _opt_field(scope_struct, "name", pa.string())
-    scope_version = _opt_field(scope_struct, "version", pa.string())
-
-    lr = scopes.field("logRecords")
-    rec_parent = pc.list_parent_indices(lr).to_numpy(zero_copy_only=False)
-    recs = pc.list_flatten(lr)
-    n_rec = len(recs)
-
-    # context indices per record: scope idx → resource idx
-    res_idx = scope_parent[rec_parent] if n_rec else np.empty(0, np.int64)
-    take_scope = pa.array(rec_parent, type=pa.int64())
-
-    rec_attrs = _opt_field(recs, "attributes", pa.list_(_KV))
-    conv_id = _attr_first(rec_attrs, n_rec, "conv.id", "stringValue")
-    turn_raw = _attr_first(rec_attrs, n_rec, "turn.index", "intValue")
-    tool = _attr_first(rec_attrs, n_rec, "tool", "stringValue")
-    # proto3 JSON int64-as-string → int32 (bounded: a turn index)
-    turn_valid = pa.array(turn_raw, type=pa.string())
-    turn_idx = pc.cast(pc.cast(turn_valid, pa.int64()), pa.int32())
-    time_ns = pc.cast(
-        _opt_field(recs, "timeUnixNano", pa.string()), pa.int64()
-    )
-    body = _opt_field(recs, "body", pa.struct([("stringValue", pa.string())]))
-    body_str = _opt_field(body, "stringValue", pa.string())
-    sev_num = _opt_field(recs, "severityNumber", pa.int64())
-    sev_text = _opt_field(recs, "severityText", pa.string())
-
-    empty_str = pa.array([], type=pa.string())
-    return pa.table(
+    return with_context(
+        context,
+        rec_scope,
         {
-            "service": pa.array(service, type=pa.string()).take(
-                pa.array(res_idx, type=pa.int64())
-            )
-            if n_rec
-            else empty_str,
-            "scope_name": scope_name.take(take_scope) if n_rec else empty_str,
-            "scope_version": scope_version.take(take_scope)
-            if n_rec
-            else empty_str,
-            "time_unix_nano": time_ns,
-            "severity_number": pc.cast(sev_num, pa.int64()),
-            "severity_text": sev_text,
-            "body": body_str,
-            "trace_id": _opt_field(recs, "traceId", pa.string()),
-            "span_id": _opt_field(recs, "spanId", pa.string()),
-            "conv_id": pa.array(conv_id, type=pa.string()),
-            "turn_idx": turn_idx,
-            "tool": pa.array(tool, type=pa.string()),
-        }
+            "time_unix_nano": pc.cast(recs.field("timeUnixNano"), pa.int64()),
+            "severity_number": recs.field("severityNumber"),
+            "severity_text": recs.field("severityText"),
+            "body": recs.field("body").field("stringValue"),
+            "trace_id": recs.field("traceId"),
+            "span_id": recs.field("spanId"),
+            **record_attrs(recs.field("attributes")),
+        },
     )
 
 
@@ -544,80 +536,49 @@ def write_requests(
     return int(written or 0)
 
 
-class _NdjsonDecode:
-    """Compressed-NDJSON blocks → request trees (one Arrow JSON parse
-    per FILE, decompressed by path suffix)."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.json as pj
-
-        tables = []
-        for data, path in zip(
-            t["bytes"].to_pylist(), t["path"].to_pylist()
-        ):
-            raw = decompress_payload(data, path)
-            # one NDJSON line = one whole request (MBs at exporter
-            # sizing) — the parser's default 1MB block would fail with
-            # "straddling object straddles two block boundaries"
-            opts = pj.ReadOptions(block_size=max(1 << 20, len(raw) + 1))
-            tables.append(
-                pj.read_json(pa.BufferReader(raw), read_options=opts)
-            )
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables, promote_options="permissive")
+def decode_json(data: bytes, schema: pa.Schema) -> pa.Table:
+    """OTLP/JSON bytes, one Export request a line → one typed row a
+    request. The JSON is parsed against ``schema``, never inferred —
+    the reference decodes against the fixed proto the same way
+    (plog/json.go:27-49): fields outside the schema are skipped at every
+    level, a missing one reads as null, and a value of the wrong JSON
+    kind is an error (a 64-bit integer must be the proto3 decimal
+    string, not a number). The HTTP listener's JSON bodies and every
+    NDJSON file go through here."""
+    parse = pj.ParseOptions(explicit_schema=schema, unexpected_field_behavior="ignore")
+    # one NDJSON line = one whole request (MBs at exporter sizing) — the
+    # parser's default 1MB block would fail with "straddling object
+    # straddles two block boundaries"
+    read = pj.ReadOptions(block_size=max(1 << 20, len(data) + 1))
+    return pj.read_json(pa.BufferReader(data), read_options=read, parse_options=parse)
 
 
-def _any_compressed(paths, filesystem=None) -> bool:
-    """True when any input entry carries a wire-compression suffix.
-    Handles a directory string, a single file string, and a LIST of
-    either (a bare list of .gz paths previously fell through to
-    read_json on compressed bytes). Directory listings go through the
-    SAME filesystem the read will use — an os.listdir against the
-    local cwd mis-detected remote/SubTree dirs as uncompressed
-    (review finding, r4)."""
-    import os
-
-    import pyarrow.fs as pafs
-
-    entries = [paths] if isinstance(paths, str) else list(paths)
-    for p in entries:
-        if not isinstance(p, str):
-            continue
-        if p.endswith((".gz", ".zst")):
-            return True
-        if filesystem is not None or "://" in p:
-            fs, path = wirefs.resolve_fs(p, filesystem)
-            info = fs.get_file_info(path)
-            if info.type == pafs.FileType.Directory and any(
-                f.path.endswith((".gz", ".zst"))
-                for f in fs.get_file_info(
-                    pafs.FileSelector(path, recursive=False)
-                )
-            ):
-                return True
-        elif os.path.isdir(p) and any(
-            n.endswith((".gz", ".zst")) for n in os.listdir(p)
-        ):
-            return True
-    return False
+def _decode_json_batch(schema: pa.Schema, flatten, t: pa.Table) -> pa.Table:
+    """read_binary_files block → flat rows: every file decompressed by
+    payload magic, decoded against ``schema``, flattened once."""
+    tables = [
+        decode_json(decompress_payload(b), schema) for b in t["bytes"].to_pylist()
+    ]
+    return flatten(pa.concat_tables([schema.empty_table(), *tables]))
 
 
-def read_otlp_json(paths, filesystem=None, *, flatten) -> ray.data.Dataset:
-    """Unmarshal, for every signal: NDJSON Export requests → ``flatten``
-    → flat rows. Wire compression is sniffed off the file extensions
-    across ALL entries — dir listings, single files, and lists alike, on
-    the read's own filesystem."""
-    if _any_compressed(paths, filesystem):
-        requests = ray.data.read_binary_files(
-            paths, include_paths=True, filesystem=filesystem
-        ).map_batches(_NdjsonDecode(), batch_format="pyarrow")
-    else:
-        requests = ray.data.read_json(paths, filesystem=filesystem)
-    return requests.map_batches(flatten, batch_format="pyarrow")
+def read_otlp_json(paths, filesystem=None, *, schema, flatten) -> ray.data.Dataset:
+    """Unmarshal, for every signal: NDJSON Export request files, plain
+    or gzip/zstd → ``decode_json`` against ``schema`` (the signal's
+    typed request tree) → ``flatten`` → flat rows. Reads the files Ray's
+    ``read_json`` would (its extension filter)."""
+    return ray.data.read_binary_files(
+        paths, filesystem=filesystem, file_extensions=JSON_FILE_EXTENSIONS
+    ).map_batches(
+        functools.partial(_decode_json_batch, schema, flatten), batch_format="pyarrow"
+    )
 
 
 # ExportLogsServiceRequest NDJSON; the traces and metrics twins live
 # beside their nest/flatten halves
 write_otlp_logs_json = functools.partial(write_requests, nest=nest_otlp_batch)
-read_otlp_logs_json = functools.partial(read_otlp_json, flatten=flatten_otlp_batch)
+read_otlp_logs_json = functools.partial(
+    read_otlp_json,
+    schema=pa.schema([("resourceLogs", _RESOURCE_LOGS)]),
+    flatten=flatten_otlp_batch,
+)

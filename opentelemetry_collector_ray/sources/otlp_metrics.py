@@ -41,9 +41,12 @@ from .otlp_json import (
     _attr_first,
     _i64_strings,
     _kv_list,
-    _opt_field,
     _str,
     read_otlp_json,
+    record_attrs,
+    resource_tree,
+    walk_requests,
+    with_context,
     write_requests,
 )
 
@@ -139,35 +142,7 @@ _METRIC = pa.struct(
     ]
 )
 
-_RESOURCE_METRICS = pa.list_(
-    pa.struct(
-        [
-            pa.field(
-                "resource",
-                pa.struct([pa.field("attributes", pa.list_(_KV))]),
-            ),
-            pa.field(
-                "scopeMetrics",
-                pa.list_(
-                    pa.struct(
-                        [
-                            pa.field(
-                                "scope",
-                                pa.struct(
-                                    [
-                                        pa.field("name", pa.string()),
-                                        pa.field("version", pa.string()),
-                                    ]
-                                ),
-                            ),
-                            pa.field("metrics", pa.list_(_METRIC)),
-                        ]
-                    )
-                ),
-            ),
-        ]
-    )
-)
+_RESOURCE_METRICS = resource_tree("scopeMetrics", "metrics", _METRIC)
 
 AGG_TEMPORALITY_DELTA = 1  # metrics.proto AggregationTemporality
 
@@ -576,167 +551,66 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     return pa.table({"resourceMetrics": resource_metrics})
 
 
-_EMPTY_FLAT = {
-    "service": pa.string(),
-    "scope_name": pa.string(),
-    "scope_version": pa.string(),
-    "metric_name": pa.string(),
-    "temporality": pa.int64(),
-    "is_monotonic": pa.bool_(),
-    "time_unix_nano": pa.int64(),
-    "value": pa.int64(),
-    "conv_id": pa.string(),
-    "turn_idx": pa.int32(),
-    "tool": pa.string(),
-}
+def _walk(t: pa.Table):
+    """``walk_requests`` down to the metrics: (context, scope index per
+    metric, metrics)."""
+    return walk_requests(t, "resourceMetrics", "scopeMetrics", "metrics")
 
 
-def _tree_context(t: pa.Table):
-    """The shared resource→scope→metric walk of every metrics flatten:
-    returns (service, scope_name, scope_version, scope_parent,
-    metric_parent, metrics), or None for a schema-less/empty batch.
-    Every level goes through ``_opt_field`` — proto3 omits empty
-    repeateds, so a resource without scopeMetrics must read as an
-    empty list, not a KeyError."""
-    if "resourceMetrics" not in t.column_names:
-        return None
-    rm = t["resourceMetrics"]
-    if isinstance(rm, pa.ChunkedArray):
-        rm = rm.combine_chunks()
-    res = pc.list_flatten(rm)
-    n_res = len(res)
-    resource = _opt_field(
-        res, "resource", pa.struct([("attributes", pa.list_(_KV))])
-    )
-    service = pa.array(
-        _attr_first(
-            _opt_field(resource, "attributes", pa.list_(_KV)),
-            n_res,
-            "service.name",
-            "stringValue",
-        ),
-        type=pa.string(),
-    )
-    sl = _opt_field(
-        res, "scopeMetrics", _RESOURCE_METRICS.value_type.field("scopeMetrics").type
-    )
-    scope_parent = pc.list_parent_indices(sl).to_numpy(zero_copy_only=False)
-    scopes = pc.list_flatten(sl)
-    scope_struct = _opt_field(
-        scopes,
-        "scope",
-        pa.struct([("name", pa.string()), ("version", pa.string())]),
-    )
-    scope_name = _opt_field(scope_struct, "name", pa.string())
-    scope_version = _opt_field(scope_struct, "version", pa.string())
-    ml = _opt_field(scopes, "metrics", pa.list_(_METRIC))
-    metric_parent = pc.list_parent_indices(ml).to_numpy(zero_copy_only=False)
-    metrics = pc.list_flatten(ml)
-    return service, scope_name, scope_version, scope_parent, metric_parent, metrics
+def _branch_points(metrics: pa.StructArray, branch: str):
+    """One oneof branch of every metric → (the branch struct, its
+    dataPoints list per metric), the list null where the metric holds
+    another branch (``.field()`` ignores the parent's null mask)."""
+    b = metrics.field(branch)
+    idx = np.arange(len(metrics), dtype=object)
+    valid = np.asarray(pc.is_valid(b).to_numpy(zero_copy_only=False), dtype=bool)
+    idx[~valid] = None
+    return b, b.field("dataPoints").take(pa.array(idx, type=pa.int64()))
 
 
-def _flat_branch(
-    metrics: pa.StructArray,
-    metric_parent: np.ndarray,
-    scope_parent: np.ndarray,
-    branch: str,
-) -> dict:
-    """One oneof branch → flat per-datapoint columns + context
-    indices."""
-    b, dps_list = _masked_dp_lists_typed(
-        metrics, branch, _GAUGE if branch == "gauge" else _SUM, _DP
-    )
-    dp_parent = pc.list_parent_indices(dps_list).to_numpy(zero_copy_only=False)
+def _number_points(context, metric_scope, metrics, branch: str) -> pa.Table:
+    """The gauge or sum branch → one flat row per NumberDataPoint."""
+    b, dps_list = _branch_points(metrics, branch)
+    midx = pc.list_parent_indices(dps_list)  # metric index per datapoint
     dps = pc.list_flatten(dps_list)
-    n_dp = len(dps)
-    midx = dp_parent  # metric index per datapoint
-    sidx = metric_parent[midx] if n_dp else np.empty(0, np.int64)
-    ridx = scope_parent[sidx] if n_dp else np.empty(0, np.int64)
-
-    name = _opt_field(metrics, "name", pa.string())
-    take_m = pa.array(midx, type=pa.int64())
     if branch == "sum":
-        tempo_m = pc.fill_null(
-            pc.cast(_opt_field(b, "aggregationTemporality", pa.int64()), pa.int64()),
-            0,
-        )
-        mono_m = pc.fill_null(_opt_field(b, "isMonotonic", pa.bool_()), False)
-        tempo = tempo_m.take(take_m) if n_dp else pa.array([], type=pa.int64())
-        mono = mono_m.take(take_m) if n_dp else pa.array([], type=pa.bool_())
+        tempo = pc.fill_null(b.field("aggregationTemporality"), 0).take(midx)
+        mono = pc.fill_null(b.field("isMonotonic"), False).take(midx)
     else:
-        tempo = pa.array(np.zeros(n_dp, dtype=np.int64), type=pa.int64())
-        mono = pa.array(np.zeros(n_dp, dtype=bool))
-
-    attrs = _opt_field(dps, "attributes", pa.list_(_KV))
-    return {
-        "metric_name": name.take(take_m)
-        if n_dp
-        else pa.array([], type=pa.string()),
-        "temporality": tempo,
-        "is_monotonic": mono,
-        "time_unix_nano": pc.cast(
-            _opt_field(dps, "timeUnixNano", pa.string()), pa.int64()
-        ),
-        "value": pc.cast(_opt_field(dps, "asInt", pa.string()), pa.int64()),
-        "conv_id": pa.array(
-            _attr_first(attrs, n_dp, "conv.id", "stringValue"), type=pa.string()
-        ),
-        "turn_idx": pc.cast(
-            pc.cast(
-                pa.array(
-                    _attr_first(attrs, n_dp, "turn.index", "intValue"),
-                    type=pa.string(),
-                ),
-                pa.int64(),
-            ),
-            pa.int32(),
-        ),
-        "tool": pa.array(
-            _attr_first(attrs, n_dp, "tool", "stringValue"), type=pa.string()
-        ),
-        "_sidx": sidx,
-        "_ridx": ridx,
-    }
+        tempo = pa.array(np.zeros(len(dps), dtype=np.int64), type=pa.int64())
+        mono = pa.array(np.zeros(len(dps), dtype=bool))
+    return with_context(
+        context,
+        metric_scope.take(midx),
+        {
+            "metric_name": metrics.field("name").take(midx),
+            "temporality": tempo,
+            "is_monotonic": mono,
+            "time_unix_nano": pc.cast(dps.field("timeUnixNano"), pa.int64()),
+            "value": pc.cast(dps.field("asInt"), pa.int64()),
+            **record_attrs(dps.field("attributes")),
+        },
+    )
 
 
 def flatten_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     """ExportMetricsServiceRequest rows → flat datapoint table (the
     unmarshal half): resource/scope/metric context denormalized onto
     every NumberDataPoint of the gauge and sum branches."""
-    ctx = _tree_context(t)
-    if ctx is None:
-        return pa.table(
-            {k: pa.array([], type=v) for k, v in _EMPTY_FLAT.items()}
-        )
-    service, scope_name, scope_version, scope_parent, metric_parent, metrics = ctx
+    tree = _walk(t)
+    return pa.concat_tables(
+        [_number_points(*tree, branch) for branch in ("gauge", "sum")]
+    )
 
-    parts = []
-    for branch in ("gauge", "sum"):
-        cols = _flat_branch(metrics, metric_parent, scope_parent, branch)
-        sidx, ridx = cols.pop("_sidx"), cols.pop("_ridx")
-        n_dp = len(cols["metric_name"])
-        empty_str = pa.array([], type=pa.string())
-        parts.append(
-            pa.table(
-                {
-                    "service": service.take(pa.array(ridx, type=pa.int64()))
-                    if n_dp
-                    else empty_str,
-                    "scope_name": scope_name.take(
-                        pa.array(sidx, type=pa.int64())
-                    )
-                    if n_dp
-                    else empty_str,
-                    "scope_version": scope_version.take(
-                        pa.array(sidx, type=pa.int64())
-                    )
-                    if n_dp
-                    else empty_str,
-                    **cols,
-                }
-            )
-        )
-    return pa.concat_tables(parts)
+
+def _branch_rows(t: pa.Table, branch: str):
+    """The start of every histogram-like branch flatten: (service and
+    scope_name context, scope index per datapoint, the datapoints)."""
+    context, metric_scope, metrics = _walk(t)
+    _, dps_list = _branch_points(metrics, branch)
+    dp_scope = metric_scope.take(pc.list_parent_indices(dps_list))
+    context = context.select(["service", "scope_name"])
+    return context, dp_scope, pc.list_flatten(dps_list)
 
 
 def flatten_otlp_metrics_hist_batch(t: pa.Table) -> pa.Table:
@@ -744,83 +618,46 @@ def flatten_otlp_metrics_hist_batch(t: pa.Table) -> pa.Table:
     scope, conv.id, count, sum_ms, b0..b3). Datapoints are per-REQUEST
     partials (DELTA) — consumers sum rows per (scope, conv) to get the
     batch-independent totals (the mergeable-histogram property)."""
-    empty_cols = {
-        "service": pa.array([], type=pa.string()),
-        "scope_name": pa.array([], type=pa.string()),
-        "conv_id": pa.array([], type=pa.string()),
-        "count": pa.array([], type=pa.int64()),
-        "sum_ms": pa.array([], type=pa.int64()),
-        "min_ms": pa.array([], type=pa.int64()),
-        "max_ms": pa.array([], type=pa.int64()),
-    }
-    for i in range(len(HIST_BOUNDS) + 1):
-        empty_cols[f"b{i}"] = pa.array([], type=pa.int64())
-    ctx = _tree_context(t)
-    if ctx is None:
-        return pa.table(empty_cols)
-    service, scope_name, _sv, scope_parent, metric_parent, metrics = ctx
-
-    _, dps_list = _masked_dp_lists_typed(metrics, "histogram", _HIST, _HDP)
-    dp_parent = pc.list_parent_indices(dps_list).to_numpy(zero_copy_only=False)
-    dps = pc.list_flatten(dps_list)
+    context, dp_scope, dps = _branch_rows(t, "histogram")
     n_dp = len(dps)
-    sidx = metric_parent[dp_parent] if n_dp else np.empty(0, np.int64)
-    ridx = scope_parent[sidx] if n_dp else np.empty(0, np.int64)
-
-    attrs = _opt_field(dps, "attributes", pa.list_(_KV))
-    conv_id = _attr_first(attrs, n_dp, "conv.id", "stringValue")
-    count = pc.cast(
-        pc.cast(_opt_field(dps, "count", pa.string()), pa.int64()), pa.int64()
-    )
-    # sum is `optional double` — 0.0 is omitted on the wire, read back 0
-    sum_ms = pc.cast(
-        pc.fill_null(_opt_field(dps, "sum", pa.float64()), 0.0), pa.int64()
-    )
-    # min/max are optional doubles; keep NULL where absent (older wire
-    # files) — partials merge by min/max so a fill would corrupt
-    min_ms = pc.cast(_opt_field(dps, "min", pa.float64()), pa.int64())
-    max_ms = pc.cast(_opt_field(dps, "max", pa.float64()), pa.int64())
-    buckets = _opt_field(dps, "bucketCounts", pa.list_(pa.string()))
+    buckets = dps.field("bucketCounts")
     nb = len(HIST_BOUNDS) + 1
     # genuine OTel exports carry per-datapoint explicitBounds of any
     # length; this fixed-bounds flatten handles exactly len(bounds)+1
     # buckets per datapoint — validate per-dp lengths instead of a
     # blind reshape whose error ("cannot reshape array of size …")
     # points nowhere (ADVICE r3)
-    if n_dp:
-        lens = pc.list_value_length(buckets).to_numpy(zero_copy_only=False)
-        bad = np.flatnonzero(np.nan_to_num(lens, nan=-1).astype(np.int64) != nb)
-        if len(bad):
-            raise ValueError(
-                f"histogram datapoint {int(bad[0])} has "
-                f"{int(lens[bad[0]]) if not np.isnan(float(lens[bad[0]])) else 0} "
-                f"bucketCounts; this reader expects exactly {nb} "
-                f"(explicitBounds={list(HIST_BOUNDS)}). Re-bucket the "
-                "export or extend HIST_BOUNDS to match its bounds."
-            )
-    flat_b = pc.cast(pc.cast(pc.list_flatten(buckets), pa.int64()), pa.int64())
+    lens = pc.list_value_length(buckets).to_numpy(zero_copy_only=False)
+    bad = np.flatnonzero(np.nan_to_num(lens, nan=-1).astype(np.int64) != nb)
+    if len(bad):
+        raise ValueError(
+            f"histogram datapoint {int(bad[0])} has "
+            f"{int(lens[bad[0]]) if not np.isnan(float(lens[bad[0]])) else 0} "
+            f"bucketCounts; this reader expects exactly {nb} "
+            f"(explicitBounds={list(HIST_BOUNDS)}). Re-bucket the "
+            "export or extend HIST_BOUNDS to match its bounds."
+        )
     b_np = (
-        flat_b.to_numpy(zero_copy_only=False).reshape(n_dp, nb)
-        if n_dp
-        else np.empty((0, nb), np.int64)
+        pc.cast(pc.list_flatten(buckets), pa.int64())
+        .to_numpy(zero_copy_only=False)
+        .reshape(n_dp, nb)
     )
-    empty_str = pa.array([], type=pa.string())
     cols = {
-        "service": service.take(pa.array(ridx, type=pa.int64()))
-        if n_dp
-        else empty_str,
-        "scope_name": scope_name.take(pa.array(sidx, type=pa.int64()))
-        if n_dp
-        else empty_str,
-        "conv_id": pa.array(conv_id, type=pa.string()),
-        "count": count,
-        "sum_ms": sum_ms,
-        "min_ms": min_ms,
-        "max_ms": max_ms,
+        "conv_id": pa.array(
+            _attr_first(dps.field("attributes"), "conv.id", "stringValue"),
+            type=pa.string(),
+        ),
+        "count": pc.cast(dps.field("count"), pa.int64()),
+        # sum is `optional double` — 0.0 is omitted on the wire, read back 0
+        "sum_ms": pc.cast(pc.fill_null(dps.field("sum"), 0.0), pa.int64()),
+        # min/max are optional doubles; keep NULL where absent (older
+        # wire files) — partials merge by min/max so a fill would corrupt
+        "min_ms": pc.cast(dps.field("min"), pa.int64()),
+        "max_ms": pc.cast(dps.field("max"), pa.int64()),
     }
     for i in range(nb):
         cols[f"b{i}"] = pa.array(b_np[:, i], type=pa.int64())
-    return pa.table(cols)
+    return with_context(context, dp_scope, cols)
 
 
 ZERO_BUCKET_IDX = -100  # sentinel bucket for zeroCount rows (exp_histogram's)
@@ -832,94 +669,36 @@ def flatten_otlp_metrics_exp_batch(t: pa.Table) -> pa.Table:
     at the ``ZERO_BUCKET_IDX`` sentinel. Datapoints are per-request
     DELTA partials — consumers sum n per group+bucket for the
     batch-independent totals."""
-    empty = pa.table(
-        {
-            "service": pa.array([], type=pa.string()),
-            "scope_name": pa.array([], type=pa.string()),
-            "conv_id": pa.array([], type=pa.string()),
-            "bucket_idx": pa.array([], type=pa.int64()),
-            "n": pa.array([], type=pa.int64()),
-        }
-    )
-    ctx = _tree_context(t)
-    if ctx is None:
-        return empty
-    service_a, scope_name_a, _sv, scope_parent, metric_parent, metrics = ctx
-    service = np.asarray(
-        service_a.to_numpy(zero_copy_only=False), dtype=object
-    )
-    scope_name = np.asarray(
-        scope_name_a.to_numpy(zero_copy_only=False), dtype=object
-    )
-
-    _, dps_list = _masked_dp_lists_typed(
-        metrics, "exponentialHistogram", _EXP_HIST, _EDP
-    )
-    dp_parent = pc.list_parent_indices(dps_list).to_numpy(zero_copy_only=False)
-    dps = pc.list_flatten(dps_list)
-    n_dp = len(dps)
-    if not n_dp:
-        return empty
-    sidx = metric_parent[dp_parent]
-    ridx = scope_parent[sidx]
-    attrs = _opt_field(dps, "attributes", pa.list_(_KV))
-    conv_id = np.asarray(
-        _attr_first(attrs, n_dp, "conv.id", "stringValue"), dtype=object
-    )
-    zero_n = (
-        pc.cast(_opt_field(dps, "zeroCount", pa.string()), pa.int64())
-        .to_numpy(zero_copy_only=False)
-    )
-    zero_n = np.nan_to_num(zero_n.astype(np.float64)).astype(np.int64)
-    pos = _opt_field(dps, "positive", _EB)
-    offset = np.nan_to_num(
-        pc.cast(_opt_field(pos, "offset", pa.int64()), pa.int64())
-        .to_numpy(zero_copy_only=False)
-        .astype(np.float64)
-    ).astype(np.int64)
-    bl = _opt_field(pos, "bucketCounts", pa.list_(pa.string()))
+    context, dp_scope, dps = _branch_rows(t, "exponentialHistogram")
+    conv_id = _attr_first(dps.field("attributes"), "conv.id", "stringValue")
+    zero_n = pc.fill_null(pc.cast(dps.field("zeroCount"), pa.int64()), 0)
+    zero_n = zero_n.to_numpy(zero_copy_only=False)
+    pos = dps.field("positive")
+    offset = pc.fill_null(pos.field("offset"), 0).to_numpy(zero_copy_only=False)
+    bl = pos.field("bucketCounts")
     b_parent = pc.list_parent_indices(bl).to_numpy(zero_copy_only=False)
-    b_counts = (
-        pc.cast(pc.list_flatten(bl), pa.int64())
-        .to_numpy(zero_copy_only=False)
-    )
+    b_counts = pc.cast(pc.list_flatten(bl), pa.int64()).to_numpy(zero_copy_only=False)
     # position within each dp's bucket list → absolute bucket index
-    starts = np.zeros(n_dp, dtype=np.int64)
-    if len(b_parent):
-        cnts = np.bincount(b_parent, minlength=n_dp)
-        starts = np.concatenate(([0], np.cumsum(cnts)[:-1]))
-    within = (
-        np.arange(len(b_parent)) - starts[b_parent]
-        if len(b_parent)
-        else np.empty(0, np.int64)
-    )
-    b_idx = offset[b_parent] + within if len(b_parent) else np.empty(0, np.int64)
+    counts = np.bincount(b_parent, minlength=len(dps))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    b_idx = offset[b_parent] + np.arange(len(b_parent)) - starts[b_parent]
 
     keep = b_counts > 0
-    rows_service = np.concatenate(
-        [service[ridx][b_parent][keep], service[ridx][zero_n > 0]]
-    )
-    rows_scope = np.concatenate(
-        [scope_name[sidx][b_parent][keep], scope_name[sidx][zero_n > 0]]
-    )
-    rows_conv = np.concatenate(
-        [conv_id[b_parent][keep], conv_id[zero_n > 0]]
-    )
-    rows_idx = np.concatenate(
-        [
-            b_idx[keep],
-            np.full(int((zero_n > 0).sum()), ZERO_BUCKET_IDX, dtype=np.int64),
-        ]
-    )
-    rows_n = np.concatenate([b_counts[keep], zero_n[zero_n > 0]])
-    return pa.table(
+    zeros = np.flatnonzero(zero_n > 0)
+    row_dp = np.concatenate([b_parent[keep], zeros])  # datapoint of each row
+    return with_context(
+        context,
+        dp_scope.take(pa.array(row_dp, type=pa.int64())),
         {
-            "service": pa.array(rows_service, type=pa.string()),
-            "scope_name": pa.array(rows_scope, type=pa.string()),
-            "conv_id": pa.array(rows_conv, type=pa.string()),
-            "bucket_idx": pa.array(rows_idx, type=pa.int64()),
-            "n": pa.array(rows_n, type=pa.int64()),
-        }
+            "conv_id": pa.array(conv_id[row_dp], type=pa.string()),
+            "bucket_idx": pa.array(
+                np.concatenate([b_idx[keep], np.full(len(zeros), ZERO_BUCKET_IDX)]),
+                type=pa.int64(),
+            ),
+            "n": pa.array(
+                np.concatenate([b_counts[keep], zero_n[zeros]]), type=pa.int64()
+            ),
+        },
     )
 
 
@@ -928,94 +707,50 @@ def flatten_otlp_metrics_summary_batch(t: pa.Table) -> pa.Table:
     scope_name, conv_id, count, sum_ms, q50, q95). count/sum are
     mergeable per-request partials; the quantiles are point-in-time
     snapshots (legacy Summary semantics) carried through verbatim."""
-    empty = pa.table(
-        {
-            "service": pa.array([], type=pa.string()),
-            "scope_name": pa.array([], type=pa.string()),
-            "conv_id": pa.array([], type=pa.string()),
-            "count": pa.array([], type=pa.int64()),
-            "sum_ms": pa.array([], type=pa.int64()),
-            "q50": pa.array([], type=pa.float64()),
-            "q95": pa.array([], type=pa.float64()),
-        }
-    )
-    ctx = _tree_context(t)
-    if ctx is None:
-        return empty
-    service, scope_name, _sv, scope_parent, metric_parent, metrics = ctx
-
-    _, dps_list = _masked_dp_lists_typed(metrics, "summary", _SUMMARY, _SDP)
-    dp_parent = pc.list_parent_indices(dps_list).to_numpy(zero_copy_only=False)
-    dps = pc.list_flatten(dps_list)
-    n_dp = len(dps)
-    if not n_dp:
-        return empty
-    sidx = metric_parent[dp_parent]
-    ridx = scope_parent[sidx]
-    attrs = _opt_field(dps, "attributes", pa.list_(_KV))
-    conv_id = _attr_first(attrs, n_dp, "conv.id", "stringValue")
-    count = pc.cast(_opt_field(dps, "count", pa.string()), pa.int64())
-    sum_ms = pc.cast(
-        pc.fill_null(_opt_field(dps, "sum", pa.float64()), 0.0), pa.int64()
-    )
-    # min/max are optional doubles; keep NULL where absent (older wire
-    # files) — partials merge by min/max so a fill would corrupt
-    min_ms = pc.cast(_opt_field(dps, "min", pa.float64()), pa.int64())
-    max_ms = pc.cast(_opt_field(dps, "max", pa.float64()), pa.int64())
+    context, dp_scope, dps = _branch_rows(t, "summary")
     # first-match per quantile across the quantileValues list
-    ql = _opt_field(dps, "quantileValues", pa.list_(_VAQ))
+    ql = dps.field("quantileValues")
     q_parent = pc.list_parent_indices(ql).to_numpy(zero_copy_only=False)
     qs = pc.list_flatten(ql)
-    qq = _opt_field(qs, "quantile", pa.float64()).to_numpy(
-        zero_copy_only=False
-    )
-    qv = _opt_field(qs, "value", pa.float64()).to_numpy(zero_copy_only=False)
+    qq = qs.field("quantile").to_numpy(zero_copy_only=False)
+    qv = qs.field("value").to_numpy(zero_copy_only=False)
     out_q = {}
     for name, target in (("q50", 0.5), ("q95", 0.95)):
-        col = np.full(n_dp, np.nan)
+        col = np.full(len(dps), np.nan)
         hit = qq == target
         col[q_parent[hit][::-1]] = qv[hit][::-1]
         out_q[name] = pa.array(col, type=pa.float64())
-    return pa.table(
+    return with_context(
+        context,
+        dp_scope,
         {
-            "service": service.take(pa.array(ridx, type=pa.int64())),
-            "scope_name": scope_name.take(pa.array(sidx, type=pa.int64())),
-            "conv_id": pa.array(conv_id, type=pa.string()),
-            "count": count,
-            "sum_ms": sum_ms,
+            "conv_id": pa.array(
+                _attr_first(dps.field("attributes"), "conv.id", "stringValue"),
+                type=pa.string(),
+            ),
+            "count": pc.cast(dps.field("count"), pa.int64()),
+            "sum_ms": pc.cast(pc.fill_null(dps.field("sum"), 0.0), pa.int64()),
             **out_q,
-        }
+        },
     )
-
-
-def _masked_dp_lists_typed(metrics, branch, branch_type, dp_type):
-    """Like ``_masked_dp_lists`` with an explicit dataPoints element
-    type (the histogram datapoint differs from NumberDataPoint)."""
-    b = _opt_field(metrics, branch, branch_type)
-    dps = _opt_field(b, "dataPoints", pa.list_(dp_type))
-    valid = np.asarray(
-        pc.is_valid(b).to_numpy(zero_copy_only=False), dtype=bool
-    )
-    idx = np.arange(len(metrics), dtype=object)
-    idx[~valid] = None
-    return b, dps.take(pa.array(idx, type=pa.int64()))
 
 
 write_otlp_metrics_json = functools.partial(
     write_requests, nest=nest_otlp_metrics_batch
 )
+_REQUEST = pa.schema([("resourceMetrics", _RESOURCE_METRICS)])
 read_otlp_metrics_json = functools.partial(
-    read_otlp_json, flatten=flatten_otlp_metrics_batch
+    read_otlp_json, schema=_REQUEST, flatten=flatten_otlp_metrics_batch
 )
 # one reader per branch: histogram rows are per-datapoint partial
 # histograms (merge rows per (scope, conv) for totals); exponential-
 # histogram rows are exploded per-bucket partials (sum per group+bucket)
 read_otlp_metrics_hist_json = functools.partial(
-    read_otlp_json, flatten=flatten_otlp_metrics_hist_batch
+    read_otlp_json, schema=_REQUEST, flatten=flatten_otlp_metrics_hist_batch
 )
 read_otlp_metrics_exp_json = functools.partial(
-    read_otlp_json, flatten=flatten_otlp_metrics_exp_batch
+    read_otlp_json, schema=_REQUEST, flatten=flatten_otlp_metrics_exp_batch
 )
 read_otlp_metrics_summary_json = functools.partial(
-    read_otlp_json, flatten=flatten_otlp_metrics_summary_batch
+    read_otlp_json, schema=_REQUEST, flatten=flatten_otlp_metrics_summary_batch
 )

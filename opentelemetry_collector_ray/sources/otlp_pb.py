@@ -48,7 +48,7 @@ from . import wirefs
 from .wirefs import unframe_requests
 from .otlp_json import (
     _COMPRESS_EXT,
-    _KV,
+    _RESOURCE_LOGS,
     _strip_nulls,
     compress_payload,
     decompress_payload,
@@ -62,104 +62,10 @@ from .otlp_metrics import (
     nest_otlp_metrics_batch,
 )
 from .otlp_traces import (
-    _EVENT,
-    _LINK,
-    _STATUS,
+    _RESOURCE_SPANS,
     flatten_otlp_traces_batch,
     nest_otlp_traces_batch,
 )
-
-# Arrow type for the decoded request tree — the same shape Arrow's JSON
-# reader infers from the NDJSON wire, so flatten_otlp_batch serves both
-# codecs unchanged.
-_LOG_RECORD = pa.struct(
-    [
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("severityNumber", pa.int64()),
-        pa.field("severityText", pa.string()),
-        pa.field("body", pa.struct([pa.field("stringValue", pa.string())])),
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("traceId", pa.string()),
-        pa.field("spanId", pa.string()),
-    ]
-)
-_RESOURCE_LOGS = pa.list_(
-    pa.struct(
-        [
-            pa.field(
-                "resource",
-                pa.struct([pa.field("attributes", pa.list_(_KV))]),
-            ),
-            pa.field(
-                "scopeLogs",
-                pa.list_(
-                    pa.struct(
-                        [
-                            pa.field(
-                                "scope",
-                                pa.struct(
-                                    [
-                                        pa.field("name", pa.string()),
-                                        pa.field("version", pa.string()),
-                                    ]
-                                ),
-                            ),
-                            pa.field("logRecords", pa.list_(_LOG_RECORD)),
-                        ]
-                    )
-                ),
-            ),
-        ]
-    )
-)
-
-_SPAN = pa.struct(
-    [
-        pa.field("traceId", pa.string()),
-        pa.field("spanId", pa.string()),
-        pa.field("parentSpanId", pa.string()),
-        pa.field("name", pa.string()),
-        pa.field("kind", pa.int64()),
-        pa.field("startTimeUnixNano", pa.string()),
-        pa.field("endTimeUnixNano", pa.string()),
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("events", pa.list_(_EVENT)),
-        pa.field("links", pa.list_(_LINK)),
-        pa.field("status", _STATUS),
-    ]
-)
-_RESOURCE_SPANS = pa.list_(
-    pa.struct(
-        [
-            pa.field(
-                "resource",
-                pa.struct([pa.field("attributes", pa.list_(_KV))]),
-            ),
-            pa.field(
-                "scopeSpans",
-                pa.list_(
-                    pa.struct(
-                        [
-                            pa.field(
-                                "scope",
-                                pa.struct(
-                                    [
-                                        pa.field("name", pa.string()),
-                                        pa.field("version", pa.string()),
-                                    ]
-                                ),
-                            ),
-                            pa.field("spans", pa.list_(_SPAN)),
-                        ]
-                    )
-                ),
-            ),
-        ]
-    )
-)
-
-_T = None  # filled lazily with descriptor_pb2 type enum shorthand
-
 
 def _field(msg, name, number, ftype, *, repeated=False, type_name=None,
            oneof=None):
@@ -552,8 +458,9 @@ class Signal:
 
     ``root`` is the request's one repeated field (proto3-JSON name),
     ``request`` the ``_classes()`` key of its request message,
-    ``tree_type`` the Arrow type of ``root`` (proto3 omits unset fields,
-    so decoded trees are typed explicitly, never inferred), ``nest`` /
+    ``tree_type`` the Arrow type of ``root``, declared beside the
+    signal's nest/flatten (both wires decode into it, never into an
+    inferred shape: proto3 omits unset fields), ``nest`` /
     ``flatten`` the flat-table ↔ request-tree halves, ``prefix`` the
     ``.binpb`` file-name prefix, and ``ids`` the ``(path, fields)`` pairs
     under each resource that carry trace/span IDs — hex on the OTLP JSON

@@ -45,13 +45,15 @@ from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
     _require_non_null_keys,
     _KV,
-    _attr_first,
     _i64_strings,
     _kv_list,
     _md5_hex,
-    _opt_field,
     _str,
     read_otlp_json,
+    record_attrs,
+    resource_tree,
+    walk_requests,
+    with_context,
     write_requests,
 )
 
@@ -72,6 +74,22 @@ _LINK = pa.struct(
         pa.field("spanId", pa.string()),
     ]
 )
+_SPAN = pa.struct(
+    [
+        pa.field("traceId", pa.string()),
+        pa.field("spanId", pa.string()),
+        pa.field("parentSpanId", pa.string()),
+        pa.field("name", pa.string()),
+        pa.field("kind", pa.int64()),
+        pa.field("startTimeUnixNano", pa.string()),
+        pa.field("endTimeUnixNano", pa.string()),
+        pa.field("attributes", pa.list_(_KV)),
+        pa.field("events", pa.list_(_EVENT)),
+        pa.field("links", pa.list_(_LINK)),
+        pa.field("status", _STATUS),
+    ]
+)
+_RESOURCE_SPANS = resource_tree("scopeSpans", "spans", _SPAN)
 
 
 def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
@@ -282,38 +300,16 @@ def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
     return pa.table({"resourceSpans": resource_spans})
 
 
-_EMPTY_FLAT = {
-    "service": pa.string(),
-    "scope_name": pa.string(),
-    "scope_version": pa.string(),
-    "trace_id": pa.string(),
-    "span_id": pa.string(),
-    "parent_span_id": pa.string(),
-    "name": pa.string(),
-    "kind": pa.int64(),
-    "start_unix_nano": pa.int64(),
-    "end_unix_nano": pa.int64(),
-    "status_code": pa.int64(),
-    "event_name": pa.string(),
-    "link_span_id": pa.string(),
-    "conv_id": pa.string(),
-    "turn_idx": pa.int32(),
-    "tool": pa.string(),
-}
-
-
-def _first_struct_field(lst, n: int, field: str, typ) -> np.ndarray:
+def _first_struct_field(lst: pa.ListArray, field: str) -> pa.Array:
     """First list element's ``field`` per parent row (null when the
     list is empty/null) — vectorized Get over a repeated message."""
     parents = pc.list_parent_indices(lst).to_numpy(zero_copy_only=False)
-    flat = pc.list_flatten(lst)
     vals = np.asarray(
-        _opt_field(flat, field, typ).to_numpy(zero_copy_only=False),
-        dtype=object,
+        pc.list_flatten(lst).field(field).to_numpy(zero_copy_only=False), dtype=object
     )
-    out = np.full(n, None, dtype=object)
+    out = np.full(len(lst), None, dtype=object)
     out[parents[::-1]] = vals[::-1]  # reversed → FIRST element wins
-    return out
+    return pa.array(out, type=pa.string())
 
 
 def flatten_otlp_traces_batch(t: pa.Table) -> pa.Table:
@@ -321,109 +317,35 @@ def flatten_otlp_traces_batch(t: pa.Table) -> pa.Table:
     half, ptrace/json.go UnmarshalTraces): resource/scope context
     denormalized onto every span; an absent status reads back as
     code 0 (UNSET — the pdata embedded-Status default)."""
-    if "resourceSpans" not in t.column_names:
-        return pa.table(
-            {k: pa.array([], type=v) for k, v in _EMPTY_FLAT.items()}
-        )
-    rs = t["resourceSpans"]
-    if isinstance(rs, pa.ChunkedArray):
-        rs = rs.combine_chunks()
-    res = pc.list_flatten(rs)
-    n_res = len(res)
-    resource = _opt_field(
-        res, "resource", pa.struct([("attributes", pa.list_(_KV))])
+    context, span_scope, spans = walk_requests(
+        t, "resourceSpans", "scopeSpans", "spans"
     )
-    service = _attr_first(
-        _opt_field(resource, "attributes", pa.list_(_KV)),
-        n_res,
-        "service.name",
-        "stringValue",
-    )
-
-    sl = res.field("scopeSpans")
-    scope_parent = pc.list_parent_indices(sl).to_numpy(zero_copy_only=False)
-    scopes = pc.list_flatten(sl)
-    scope_struct = _opt_field(
-        scopes, "scope", pa.struct([("name", pa.string()), ("version", pa.string())])
-    )
-    scope_name = _opt_field(scope_struct, "name", pa.string())
-    scope_version = _opt_field(scope_struct, "version", pa.string())
-
-    sp = scopes.field("spans")
-    span_parent = pc.list_parent_indices(sp).to_numpy(zero_copy_only=False)
-    spans = pc.list_flatten(sp)
-    n_span = len(spans)
-
-    res_idx = scope_parent[span_parent] if n_span else np.empty(0, np.int64)
-    take_scope = pa.array(span_parent, type=pa.int64())
-
-    span_attrs = _opt_field(spans, "attributes", pa.list_(_KV))
-    conv_id = _attr_first(span_attrs, n_span, "conv.id", "stringValue")
-    turn_raw = _attr_first(span_attrs, n_span, "turn.index", "intValue")
-    tool = _attr_first(span_attrs, n_span, "tool", "stringValue")
-    turn_idx = pc.cast(
-        pc.cast(pa.array(turn_raw, type=pa.string()), pa.int64()), pa.int32()
-    )
-    status = _opt_field(spans, "status", _STATUS)
+    status = spans.field("status")
     # .field() ignores the parent struct's null mask (the CLAUDE.md
     # trap): an unset status must read as code 0, not as whatever the
     # child buffer holds — re-mask by parent validity, then fill.
-    code_child = pc.cast(_opt_field(status, "code", pa.int64()), pa.int64())
     status_code = pc.fill_null(
         pc.if_else(
-            pc.is_valid(status), code_child, pa.scalar(None, pa.int64())
+            pc.is_valid(status), status.field("code"), pa.scalar(None, pa.int64())
         ),
         0,
     )
-
-    empty_str = pa.array([], type=pa.string())
-    return pa.table(
+    return with_context(
+        context,
+        span_scope,
         {
-            "service": pa.array(service, type=pa.string()).take(
-                pa.array(res_idx, type=pa.int64())
-            )
-            if n_span
-            else empty_str,
-            "scope_name": scope_name.take(take_scope) if n_span else empty_str,
-            "scope_version": scope_version.take(take_scope)
-            if n_span
-            else empty_str,
-            "trace_id": _opt_field(spans, "traceId", pa.string()),
-            "span_id": _opt_field(spans, "spanId", pa.string()),
-            "parent_span_id": _opt_field(spans, "parentSpanId", pa.string()),
-            "name": _opt_field(spans, "name", pa.string()),
-            "kind": pc.fill_null(
-                pc.cast(_opt_field(spans, "kind", pa.int64()), pa.int64()), 0
-            ),
-            "start_unix_nano": pc.cast(
-                _opt_field(spans, "startTimeUnixNano", pa.string()), pa.int64()
-            ),
-            "end_unix_nano": pc.cast(
-                _opt_field(spans, "endTimeUnixNano", pa.string()), pa.int64()
-            ),
+            "trace_id": spans.field("traceId"),
+            "span_id": spans.field("spanId"),
+            "parent_span_id": spans.field("parentSpanId"),
+            "name": spans.field("name"),
+            "kind": pc.fill_null(spans.field("kind"), 0),
+            "start_unix_nano": pc.cast(spans.field("startTimeUnixNano"), pa.int64()),
+            "end_unix_nano": pc.cast(spans.field("endTimeUnixNano"), pa.int64()),
             "status_code": status_code,
-            "event_name": pa.array(
-                _first_struct_field(
-                    _opt_field(spans, "events", pa.list_(_EVENT)),
-                    n_span,
-                    "name",
-                    pa.string(),
-                ),
-                type=pa.string(),
-            ),
-            "link_span_id": pa.array(
-                _first_struct_field(
-                    _opt_field(spans, "links", pa.list_(_LINK)),
-                    n_span,
-                    "spanId",
-                    pa.string(),
-                ),
-                type=pa.string(),
-            ),
-            "conv_id": pa.array(conv_id, type=pa.string()),
-            "turn_idx": turn_idx,
-            "tool": pa.array(tool, type=pa.string()),
-        }
+            "event_name": _first_struct_field(spans.field("events"), "name"),
+            "link_span_id": _first_struct_field(spans.field("links"), "spanId"),
+            **record_attrs(spans.field("attributes")),
+        },
     )
 
 
@@ -431,5 +353,7 @@ write_otlp_traces_json = functools.partial(
     write_requests, nest=nest_otlp_traces_batch
 )
 read_otlp_traces_json = functools.partial(
-    read_otlp_json, flatten=flatten_otlp_traces_batch
+    read_otlp_json,
+    schema=pa.schema([("resourceSpans", _RESOURCE_SPANS)]),
+    flatten=flatten_otlp_traces_batch,
 )

@@ -178,10 +178,13 @@ def atomic_write(
     fs: pafs.FileSystem, dir_path: str, filename: str, payload: bytes
 ) -> str:
     """Land ``payload`` as ``dir_path/filename`` through a ``.tmp-``
-    file and ``publish``. Returns the final path."""
+    file and ``publish``. Returns the final path. The bytes land as
+    given: the stream's compression is off, since pyarrow would
+    otherwise detect it from a ``.gz``/``.zst`` name and compress an
+    already-compressed payload a second time."""
     final = posixpath.join(dir_path, filename)
     tmp = posixpath.join(dir_path, ".tmp-" + filename)
-    with fs.open_output_stream(tmp) as f:
+    with fs.open_output_stream(tmp, compression=None) as f:
         f.write(payload)
     publish(tmp, final, fs)
     return final

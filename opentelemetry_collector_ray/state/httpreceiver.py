@@ -19,8 +19,9 @@ processing exactly-once (``state.checkpoint.run_partitioned``).
 
 Decoding is one ``_flatten_request`` for every signal and both wires,
 over the URL signal's ``otlp_pb.SIGNALS`` entry: protobuf bodies go
-decode → ``typed_trees`` → flatten, JSON bodies go Arrow's JSON parser
-→ flatten.
+decode → ``typed_trees`` → flatten, JSON bodies go
+``otlp_json.decode_json`` (parsed against the signal's ``tree_type``,
+the NDJSON file reader's decode) → flatten.
 
 Backpressure (otlphttp's 429 path, confighttp + exporterhelper
 Retry-After convention): two independent gates, both answering
@@ -54,14 +55,12 @@ import threading
 import time
 
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.json as pj
 
 import ray
 
 # module-level imports only: worker/thread code must not do
 # function-body imports of this package (pickle-by-value contract)
-from ..sources.otlp_json import decompress_payload, flatten_otlp_batch
+from ..sources.otlp_json import decode_json, decompress_payload, flatten_otlp_batch
 from ..sources.otlp_metrics import flatten_otlp_metrics_batch
 from ..sources.otlp_pb import (
     SIGNALS,
@@ -89,30 +88,20 @@ _CODEC_NAMES = {
 
 def _flatten_request(
     body: bytes, signal: str, is_pb: bool, classes: dict
-) -> pa.Table | None:
+) -> pa.Table:
     """One Export request's wire bytes → flat rows, through the same
     kernels as the file readers: binary protobuf goes decode → typed
-    tree (``typed_trees``), OTLP/JSON goes through Arrow's JSON parser
-    (so wire typing — 64-bit ints as strings, hex ids — is handled
-    once), and both end in the signal's flatten. ``classes`` is the
+    tree (``typed_trees``), OTLP/JSON goes ``decode_json`` against the
+    signal's ``tree_type``, and both end in the signal's flatten (a
+    request without records flattens to no rows). ``classes`` is the
     caller's ``_classes()``: building it costs about a millisecond, too
-    much to repeat per request. Returns None for a zero-element JSON
-    request (the reference accepts an empty Export; Arrow infers its
-    empty list as list<null>, which the flatten kernels rightly
-    refuse)."""
+    much to repeat per request."""
     sig = SIGNALS[signal]
     decode, flatten = (globals()[name] for name in _CODEC_NAMES[signal])
     if is_pb:
         tree = decode(body, classes[sig.request]).get(sig.root, [])
         return flatten(typed_trees(sig, [tree]))
-    opts = pj.ReadOptions(block_size=max(1 << 20, len(body) + 1))
-    nested = pj.read_json(pa.BufferReader(body), read_options=opts)
-    if sig.root not in nested.column_names:
-        return None
-    n_elems = pc.sum(pc.coalesce(pc.list_value_length(nested[sig.root]), 0))
-    if not n_elems.as_py():
-        return None
-    return flatten(nested)
+    return flatten(decode_json(body, pa.schema([(sig.root, sig.tree_type)])))
 
 
 def _linger(h, limit: int = 1 << 20, timeout: float = 1.0) -> None:
@@ -293,7 +282,7 @@ class OtlpHttpListener:
             # durable=True: the 200 ack means a fsynced spool segment —
             # the reference's ack-after-acceptance contract (an empty
             # Export acks immediately: nothing to land)
-            if flat is not None and len(flat):
+            if len(flat):
                 try:
                     ray.get(actor.export_table.remote(flat, durable=True))
                 except Exception as e:  # spool landing failed

@@ -236,6 +236,14 @@ _WIRE_IDS = {
 }
 
 
+def _blocks(ds):
+    """A dataset's rows as one table; Ray may also emit schema-less
+    empty blocks (from read tasks that got no file)."""
+    return pa.concat_tables(
+        [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
+    )
+
+
 @pytest.mark.parametrize("signal", sorted(SIGNALS))
 def test_listener_and_file_readers_flatten_alike(tmp_path, signal):
     """One request, four paths to flat rows: the listener's flatten of
@@ -251,16 +259,17 @@ def test_listener_and_file_readers_flatten_alike(tmp_path, signal):
     (tmp_path / "req.binpb").write_bytes(pb)
     (tmp_path / "req.json").write_bytes(js + b"\n")
 
-    def blocks(ds):  # a reader may also emit schema-less empty blocks
-        return pa.concat_tables(
-            [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
-        )
-
     tables = [
         _flatten_request(pb, signal, True, classes),
         _flatten_request(js, signal, False, classes),
-        blocks(read_otlp_pb(str(tmp_path / "req.binpb"), signal=sig)),
-        blocks(read_otlp_json(str(tmp_path / "req.json"), flatten=sig.flatten)),
+        _blocks(read_otlp_pb(str(tmp_path / "req.binpb"), signal=sig)),
+        _blocks(
+            read_otlp_json(
+                str(tmp_path / "req.json"),
+                schema=pa.schema([(sig.root, sig.tree_type)]),
+                flatten=sig.flatten,
+            )
+        ),
     ]
     want = tables[0]
     assert len(want) > 0
@@ -280,6 +289,134 @@ def test_listener_and_file_readers_flatten_alike(tmp_path, signal):
     if signal == "traces":
         assert want["parent_span_id"].null_count < len(want)
         assert want["link_span_id"].null_count < len(want)
+
+
+# the edge corpus: each signal's levels, one record of each, and the
+# row it flattens to (the rows the inferring JSON parse gave, where it
+# gave any)
+_LEVELS = {
+    "logs": ("resourceLogs", "scopeLogs", "logRecords"),
+    "traces": ("resourceSpans", "scopeSpans", "spans"),
+    "metrics": ("resourceMetrics", "scopeMetrics", "metrics"),
+}
+_SVC = {"key": "service.name", "value": {"stringValue": "svc"}}
+_CONTEXT = {"service": "svc", "scope_name": "sc", "scope_version": "1"}
+_NO_ATTRS = {"conv_id": None, "turn_idx": None, "tool": None}
+_BARE = {
+    "logs": (
+        {"timeUnixNano": "1000"},
+        {
+            **_CONTEXT, "time_unix_nano": 1000, "severity_number": None,
+            "severity_text": None, "body": None, "trace_id": None,
+            "span_id": None, **_NO_ATTRS,
+        },
+    ),
+    "traces": (
+        {
+            "traceId": "0" * 32, "spanId": "1" * 16, "name": "s",
+            "startTimeUnixNano": "1000", "endTimeUnixNano": "2000",
+        },
+        {
+            **_CONTEXT, "trace_id": "0" * 32, "span_id": "1" * 16,
+            "parent_span_id": None, "name": "s", "kind": 0,
+            "start_unix_nano": 1000, "end_unix_nano": 2000, "status_code": 0,
+            "event_name": None, "link_span_id": None, **_NO_ATTRS,
+        },
+    ),
+    "metrics": (
+        {"timeUnixNano": "1000", "asInt": "5"},  # one gauge datapoint
+        {
+            **_CONTEXT, "metric_name": "m", "temporality": 0,
+            "is_monotonic": False, "time_unix_nano": 1000, "value": 5,
+            **_NO_ATTRS,
+        },
+    ),
+}
+
+
+def _edge_request(signal, fields=(), attrs=None, res=(), scope=(), top=()):
+    """One record (for metrics: one gauge datapoint) with ``fields``
+    and ``attrs`` on it; ``res``/``scope``/``top`` add keys to the
+    resource, the scope entry and the request."""
+    root, scopes, items = _LEVELS[signal]
+    rec = {**_BARE[signal][0], **dict(fields)}
+    if attrs is not None:
+        rec["attributes"] = attrs
+    if signal == "metrics":
+        rec = {"name": "m", "gauge": {"dataPoints": [rec]}}
+    return {
+        root: [
+            {
+                "resource": {"attributes": [_SVC], **dict(res)},
+                scopes: [
+                    {"scope": {"name": "sc", "version": "1"}, items: [rec],
+                     **dict(scope)}
+                ],
+            }
+        ],
+        **dict(top),
+    }
+
+
+@pytest.mark.parametrize("signal", sorted(SIGNALS))
+def test_listener_and_json_reader_flatten_edge_requests(tmp_path, signal):
+    """The OTLP/JSON edge corpus: empty requests, a resource without
+    scopes, a bare record, unknown fields at every level and AnyValue
+    kinds outside the tree all flatten to the same typed rows through
+    the listener and the NDJSON file reader. A number where proto3
+    JSON writes a 64-bit integer as a string is refused."""
+    sig = SIGNALS[signal]
+    schema = pa.schema([(sig.root, sig.tree_type)])
+    want_schema = sig.flatten(sig.nest(gen_transcripts(3))).schema
+    bare = _BARE[signal][1]
+    odd = [
+        {"key": "b", "value": {"boolValue": True}},
+        {"key": "d", "value": {"doubleValue": 1.5}},
+        {"key": "kv", "value": {"kvlistValue": {"values": [_SVC]}}},
+        {"key": "conv.id", "value": {"stringValue": "c1"}},
+    ]
+    unknown = {"observedTimeUnixNano": "5", "flags": 1,
+               "droppedAttributesCount": 2}
+    cases = [
+        ({}, []),
+        ({"resourceX": []}, []),
+        ({sig.root: [{"resource": {"attributes": [_SVC]}}]}, []),
+        (_edge_request(signal), [bare]),
+        (
+            _edge_request(
+                signal, unknown, [_SVC], res={"droppedAttributesCount": 1},
+                scope={"schemaUrl": "u"}, top={"extra": 1},
+            ),
+            [bare],
+        ),
+        (
+            _edge_request(
+                signal,
+                {"body": {"boolValue": True}} if signal == "logs" else {},
+                odd,
+            ),
+            [{**bare, "conv_id": "c1"}],
+        ),
+    ]
+    classes = _classes()
+    for i, (req, rows) in enumerate(cases):
+        body = json.dumps(req).encode()
+        d = tmp_path / str(i)
+        d.mkdir()
+        (d / "req.json").write_bytes(body + b"\n")
+        read = read_otlp_json(str(d), schema=schema, flatten=sig.flatten)
+        for got in (
+            _flatten_request(body, signal, False, classes),
+            _blocks(read),
+        ):
+            assert got.schema == want_schema, req
+            assert got.to_pylist() == rows, req
+    # proto3 JSON's 64-bit integers are decimal strings: a bare number
+    # is a decode error (400 at the listener), not a guessed type
+    time_key = "startTimeUnixNano" if signal == "traces" else "timeUnixNano"
+    numeric = json.dumps(_edge_request(signal, {time_key: 1000})).encode()
+    with pytest.raises(pa.ArrowInvalid):
+        _flatten_request(numeric, signal, False, classes)
 
 
 def test_http_listener_error_paths(tmp_path):
@@ -323,8 +460,13 @@ def test_http_listener_error_paths(tmp_path):
             ctype="application/x-protobuf",
         )
         assert code == 400
-        # valid empty JSON request still lands (zero rows, no file)
+        # valid empty JSON requests still land (zero rows, no file)
         assert post("/v1/logs", body=b'{"resourceLogs":[]}')[0] == 200
+        assert post("/v1/logs", body=b"{}")[0] == 200
+        # a JSON number where proto3 JSON writes a fixed64 string
+        numeric = json.dumps(_edge_request("logs", {"timeUnixNano": 1000}))
+        assert post("/v1/logs", body=numeric.encode())[0] == 400
+        assert not glob.glob(spool + "/*.parquet")
 
         # saturate: pre-land one spool file, backlog limit is 1
         row, _ = _request_row(32)
@@ -333,7 +475,7 @@ def test_http_listener_error_paths(tmp_path):
         code, headers = post("/v1/logs", body=body)
         assert code == 429
         assert headers.get("Retry-After") == "1"
-        assert lis.refused >= 5
+        assert lis.refused >= 6
     finally:
         lis.stop()
 

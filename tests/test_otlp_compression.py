@@ -3,11 +3,15 @@ config/configgrpc/configgrpc.go): gzip/zstd OTLP payloads round-trip
 identically to the plain wire, files carry real compressed magic."""
 
 import glob
+import hashlib
+import json
+import os
 
 import pyarrow as pa
 import pytest
 import ray.data
 
+from opentelemetry_collector_ray.fixtures import gen_transcripts
 from opentelemetry_collector_ray.sources.otlp_json import (
     compress_payload,
     decompress_payload,
@@ -15,9 +19,11 @@ from opentelemetry_collector_ray.sources.otlp_json import (
     write_otlp_logs_json,
 )
 from opentelemetry_collector_ray.sources.otlp_pb import (
+    decode_logs_request,
     read_otlp_logs_pb,
     write_otlp_logs_pb,
 )
+from opentelemetry_collector_ray.sources.wirefs import unframe_requests
 from tests.test_otlp_pb import _transcript_batch
 
 
@@ -74,3 +80,30 @@ def test_pb_wire_gzip_roundtrip(ray_session, tmp_path):
         a.reset_index(drop=True)[sorted(a.columns)],
         b.reset_index(drop=True)[sorted(b.columns)],
     )
+
+
+@pytest.mark.parametrize("wire", ["json", "pb"])
+@pytest.mark.parametrize("compression", ["gzip", "zstd"])
+def test_wire_files_are_compressed_once(ray_session, tmp_path, wire, compression):
+    """A compressed wire file is its payload compressed ONCE, so any
+    OTLP tool can read it: its md5 is the hex in its content-addressed
+    name, and one decompression gives the plain NDJSON or framed
+    protobuf. pyarrow's output stream, left on its default
+    ``compression="detect"``, gzipped a ``.gz``-named file again."""
+    out = str(tmp_path / "wire")
+    write = write_otlp_logs_json if wire == "json" else write_otlp_logs_pb
+    n = write(
+        ray.data.from_arrow(gen_transcripts(20)), out, compression, 50,
+        requests_per_file=2,
+    )
+    names = os.listdir(out)
+    assert n >= 2 and len(names) >= 1
+    for name in names:
+        data = open(os.path.join(out, name), "rb").read()
+        assert hashlib.md5(data).hexdigest() in name
+        plain = decompress_payload(data)
+        if wire == "json":
+            requests = [json.loads(line) for line in plain.splitlines()]
+        else:
+            requests = [decode_logs_request(b) for b in unframe_requests(plain)]
+        assert requests and all(r["resourceLogs"] for r in requests)

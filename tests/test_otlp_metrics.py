@@ -345,3 +345,38 @@ def test_hist_flatten_rejects_mismatched_bucket_counts():
     )
     with pytest.raises(ValueError, match="bucketCounts.*expects exactly 4"):
         flatten_otlp_metrics_hist_batch(t)
+
+
+def test_every_flatten_types_an_empty_request():
+    """Requests with no metrics, no scopes or no resources flatten to
+    no rows with the same columns and types as a full request — every
+    flatten takes the typed tree, so no kernel carries its own empty
+    schema."""
+    from opentelemetry_collector_ray.sources.otlp_metrics import (
+        _RESOURCE_METRICS,
+        flatten_otlp_metrics_exp_batch,
+        flatten_otlp_metrics_hist_batch,
+        flatten_otlp_metrics_summary_batch,
+    )
+
+    full = nest_otlp_metrics_batch(_transcript_batch())
+    empties = [
+        None,
+        [],
+        [{"resource": None, "scopeMetrics": None}],
+        [{"resource": None, "scopeMetrics": [{"scope": None, "metrics": []}]}],
+    ]
+    trees = pa.table(
+        {"resourceMetrics": pa.array(empties, type=_RESOURCE_METRICS)}
+    )
+    assert full.schema == trees.schema
+    for flatten in (
+        flatten_otlp_metrics_batch,
+        flatten_otlp_metrics_hist_batch,
+        flatten_otlp_metrics_exp_batch,
+        flatten_otlp_metrics_summary_batch,
+    ):
+        want = flatten(full)
+        got = flatten(trees)
+        assert len(want) > 0 and len(got) == 0
+        assert got.schema == want.schema

@@ -3,10 +3,13 @@ binary-protobuf wire bytes (hand-decoded tag checks), roundtrips, and
 cross-codec parity — both wires share one nest/flatten tree."""
 
 import glob
+import os
 
 import pyarrow as pa
+import pytest
 import ray.data
 
+from opentelemetry_collector_ray.fixtures import gen_transcripts
 from opentelemetry_collector_ray.sources.otlp_pb import (
     decode_traces_request,
     encode_traces_request,
@@ -205,3 +208,31 @@ def test_span_events_and_links():
                 for lk in sp_d.get("links", []):
                     assert len(lk["spanId"]) == 16
                     int(lk["spanId"], 16)  # valid hex
+
+
+@pytest.mark.parametrize("requests_per_file", [2, 8])
+@pytest.mark.parametrize("compression", [None, "gzip"])
+def test_multi_file_json_reads_like_pb(
+    ray_session, tmp_path, compression, requests_per_file
+):
+    """Several NDJSON files in one directory (3 or 10 here, so a read
+    task gets more than one) read back the rows the .binpb reader gives
+    for the same requests. The JSON reader used to infer each file's
+    span struct in first-seen field order (a root span first puts
+    ``parentSpanId`` last), so two files' trees could not be
+    concatenated: "struct fields don't match or are in the wrong
+    order"."""
+    ds = ray.data.from_arrow(gen_transcripts(300)).materialize()
+    js, pb = str(tmp_path / "js"), str(tmp_path / "pb")
+    kw = dict(requests_per_file=requests_per_file)
+    n = write_otlp_traces_json(ds, js, compression, 100, **kw)
+    assert n == write_otlp_traces_pb(ds, pb, compression, 100, **kw)
+    assert len(os.listdir(js)) == len(os.listdir(pb)) > 1
+
+    def rows(reader, d):
+        df = reader(d).to_pandas()
+        return df.sort_values(["trace_id", "span_id"]).reset_index(drop=True)
+
+    got, want = rows(read_otlp_traces_json, js), rows(read_otlp_traces_pb, pb)
+    assert len(want) == ds.count()
+    assert got.equals(want)
