@@ -8,8 +8,11 @@ pdata/plog/json.go:27-49, pdata/plog/pb.go:24-44). This module is the
 flatten/unflatten pair between that tree and the engine's flat
 transcript table, so a user can point the engine at genuine OTel
 export NDJSON (one request per line) and write it back out. It also
-holds what every signal shares: ``resource_tree`` (the typed request
-tree), ``walk_requests`` (the top of every flatten), ``write_requests``
+holds what every signal shares: ``Message`` (the one declaration of
+each OTLP message, from which ``arrow_type`` derives the typed tree and
+``otlp_pb`` the protobuf descriptors), ``request_message`` (the
+resource → scope → item shape of every Export request),
+``walk_requests`` (the top of every flatten), ``write_requests``
 (nest → render → land; NDJSON here, framed protobuf for ``otlp_pb``),
 ``decode_json`` (OTLP/JSON bytes parsed against the typed tree, never
 inferred — the listener's JSON bodies use it too) and
@@ -39,6 +42,7 @@ turn text; record attributes carry conv.id / turn.index / tool.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -50,39 +54,85 @@ from ray.data._internal.datasource.json_datasource import JSON_FILE_EXTENSIONS
 
 from ..schema import DIM_TOOL_SERVICE, SEVERITY_NUMBER
 from . import wirefs
+from .parquet import file_tasks
 
-_ANYVALUE = pa.struct(
-    [pa.field("stringValue", pa.string()), pa.field("intValue", pa.string())]
+
+class Message(NamedTuple):
+    """One OTLP message as the engine declares it: its name and one
+    ``(jsonName, field number, proto type[, oneof])`` row per field it
+    reads or writes, with the published number and wire type. A proto
+    type is a scalar name (``"string"``, ``"fixed64"``, …), another
+    ``Message``, or ``[x]`` for a repeated ``x``. ``arrow_type`` derives
+    the typed tree from a declaration and ``otlp_pb._classes`` the
+    protobuf descriptors; a field outside it is skipped on decode, on
+    both wires."""
+
+    name: str
+    fields: tuple
+
+
+# the proto3-JSON mapping: 64-bit integers and bytes (trace/span IDs,
+# hex on the OTLP wire) are strings, 32-bit integers widen to int64
+WIDE_INTS = ("int64", "uint64", "fixed64", "sfixed64", "sint64")
+_ARROW = {
+    "string": pa.string(),
+    "bytes": pa.string(),
+    "bool": pa.bool_(),
+    "double": pa.float64(),
+    **dict.fromkeys(WIDE_INTS, pa.string()),
+    **dict.fromkeys(("int32", "uint32", "fixed32", "sfixed32", "sint32"), pa.int64()),
+}
+
+
+def arrow_type(kind) -> pa.DataType:
+    """The Arrow type of a declared proto type: a ``Message`` is a
+    struct of its fields in declaration order, ``[x]`` a list."""
+    if isinstance(kind, list):
+        return pa.list_(arrow_type(kind[0]))
+    if isinstance(kind, Message):
+        return pa.struct([pa.field(f[0], arrow_type(f[2])) for f in kind.fields])
+    return _ARROW[kind]
+
+
+# opentelemetry/proto/common/v1 and resource/v1
+_STRING_VALUE = ("stringValue", 1, "string", "value")
+_ANY_VALUE = Message("AnyValue", (_STRING_VALUE, ("intValue", 3, "int64", "value")))
+KEY_VALUE = Message("KeyValue", (("key", 1, "string"), ("value", 2, _ANY_VALUE)))
+_RESOURCE = Message("Resource", (("attributes", 1, [KEY_VALUE]),))
+_SCOPE = Message(
+    "InstrumentationScope", (("name", 1, "string"), ("version", 2, "string"))
 )
-_KV = pa.struct([pa.field("key", pa.string()), pa.field("value", _ANYVALUE)])
-_RESOURCE = pa.struct([pa.field("attributes", pa.list_(_KV))])
-_SCOPE = pa.struct([pa.field("name", pa.string()), pa.field("version", pa.string())])
 
 
-def resource_tree(scopes: str, items: str, item: pa.DataType) -> pa.DataType:
-    """Arrow type of an Export request's one repeated field: resources,
-    each with its ``scopes`` list, each with its ``items`` list of
-    ``item`` (log records, spans or metrics). Every signal's tree is
-    this shape; its fields are the ones the engine reads, named as on
-    the proto3-JSON wire."""
-    scope = pa.struct([pa.field("scope", _SCOPE), pa.field(items, pa.list_(item))])
-    return pa.list_(
-        pa.struct([pa.field("resource", _RESOURCE), pa.field(scopes, pa.list_(scope))])
+def request_message(name: str, kind: str, items: str, item: Message) -> Message:
+    """An Export request: ``resource{kind}`` lists the resources, each
+    with its ``scope{kind}`` list, each with its ``items`` list of
+    ``item`` (log records, spans or metrics). Every signal's request is
+    this shape."""
+    scope = Message(f"Scope{kind}", (("scope", 1, _SCOPE), (items, 2, [item])))
+    resource = Message(
+        f"Resource{kind}", (("resource", 1, _RESOURCE), (f"scope{kind}", 2, [scope]))
     )
+    return Message(name, ((f"resource{kind}", 1, [resource]),))
 
 
-_LOG_RECORD = pa.struct(
-    [
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("severityNumber", pa.int64()),
-        pa.field("severityText", pa.string()),
-        pa.field("body", pa.struct([pa.field("stringValue", pa.string())])),
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("traceId", pa.string()),
-        pa.field("spanId", pa.string()),
-    ]
+_LOG_RECORD = Message(
+    "LogRecord",
+    (
+        ("timeUnixNano", 1, "fixed64"),
+        # int32 stand-in for the SeverityNumber enum: the same varint
+        ("severityNumber", 2, "int32"),
+        ("severityText", 3, "string"),
+        # the AnyValue of a body, read as its string
+        ("body", 5, Message("Body", (_STRING_VALUE,))),
+        ("attributes", 6, [KEY_VALUE]),
+        ("traceId", 9, "bytes"),
+        ("spanId", 10, "bytes"),
+    ),
 )
-_RESOURCE_LOGS = resource_tree("scopeLogs", "logRecords", _LOG_RECORD)
+LOGS_REQUEST = request_message(
+    "ExportLogsServiceRequest", "Logs", "logRecords", _LOG_RECORD
+)
 
 
 def _kv_list(
@@ -214,7 +264,7 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
     time_ns = pa.array(
         _i64_strings(df["ts_us"].to_numpy(), scale=1000), type=pa.string()
     )
-    # log-trace correlation (logs.proto LogRecord.trace_id=9/span_id=10;
+    # log-trace correlation (logs.proto LogRecord.trace_id/span_id;
     # the logs data model's RequestContext section): every record points
     # at the span of its own turn — the SAME md5 scheme as the traces
     # codec, so a correlated trace lookup round-trips across signals.
@@ -255,15 +305,7 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
             pa.array(trace_hex, type=pa.string()),
             pa.array(span_hex, type=pa.string()),
         ],
-        names=[
-            "timeUnixNano",
-            "severityNumber",
-            "severityText",
-            "body",
-            "attributes",
-            "traceId",
-            "spanId",
-        ],
+        fields=list(arrow_type(_LOG_RECORD)),
     )
 
     # ---- scope groups: change points of (service, role)
@@ -354,7 +396,7 @@ def record_attrs(attrs: pa.ListArray) -> dict:
 
 def walk_requests(t: pa.Table, root: str, scopes: str, items: str):
     """The resource → scope → item walk every flatten starts with, over
-    a ``resource_tree``-typed ``root`` column. Returns (context, scope
+    a ``root`` column typed by ``request_message``. Returns (context, scope
     index per item, items): ``context`` has one row per scope — its
     resource's service.name, the scope's name and version — so
     ``context.take(idx)`` denormalizes it onto any rows."""
@@ -438,7 +480,7 @@ def compress_payload(data: bytes, compression: str | None) -> bytes:
     raise ValueError(f"unsupported wire compression: {compression!r}")
 
 
-def decompress_payload(data: bytes, path: str = "") -> bytes:
+def decompress_payload(data: bytes) -> bytes:
     """Sniffs the MAGIC BYTES, not the path: Ray's read_binary_files
     already auto-decompresses paths with known codec extensions, so an
     extension-based rule would double-decompress those blobs."""
@@ -566,9 +608,13 @@ def read_otlp_json(paths, filesystem=None, *, schema, flatten) -> ray.data.Datas
     """Unmarshal, for every signal: NDJSON Export request files, plain
     or gzip/zstd → ``decode_json`` against ``schema`` (the signal's
     typed request tree) → ``flatten`` → flat rows. Reads the files Ray's
-    ``read_json`` would (its extension filter)."""
+    ``read_json`` would (its extension filter), at most one read task
+    per file (``parquet.file_tasks``)."""
     return ray.data.read_binary_files(
-        paths, filesystem=filesystem, file_extensions=JSON_FILE_EXTENSIONS
+        paths,
+        filesystem=filesystem,
+        file_extensions=JSON_FILE_EXTENSIONS,
+        override_num_blocks=file_tasks(paths, filesystem, JSON_FILE_EXTENSIONS),
     ).map_batches(
         functools.partial(_decode_json_batch, schema, flatten), batch_format="pyarrow"
     )
@@ -579,6 +625,6 @@ def read_otlp_json(paths, filesystem=None, *, schema, flatten) -> ray.data.Datas
 write_otlp_logs_json = functools.partial(write_requests, nest=nest_otlp_batch)
 read_otlp_logs_json = functools.partial(
     read_otlp_json,
-    schema=pa.schema([("resourceLogs", _RESOURCE_LOGS)]),
+    schema=pa.schema(arrow_type(LOGS_REQUEST)),
     flatten=flatten_otlp_batch,
 )

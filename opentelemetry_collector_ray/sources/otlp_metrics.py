@@ -36,113 +36,117 @@ import pyarrow.compute as pc
 from ..schema import DIM_TOOL_SERVICE
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
+    KEY_VALUE,
+    Message,
     _require_non_null_keys,
-    _KV,
     _attr_first,
     _i64_strings,
     _kv_list,
     _str,
+    arrow_type,
     read_otlp_json,
     record_attrs,
-    resource_tree,
+    request_message,
     walk_requests,
     with_context,
     write_requests,
 )
 
-_DP = pa.struct(
-    [
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("asInt", pa.string()),
-    ]
+# opentelemetry/proto/metrics/v1: the Metric oneof ``data`` and its
+# five branches. An ``optional double`` is a oneof of its own, so 0.0
+# stays present on the wire.
+_TEMPORALITY = ("aggregationTemporality", 2, "int32")  # enum stand-in
+_NUMBER_POINT = Message(
+    "NumberDataPoint",
+    (
+        ("attributes", 7, [KEY_VALUE]),
+        ("timeUnixNano", 3, "fixed64"),
+        ("asInt", 6, "sfixed64", "value"),
+    ),
 )
-_GAUGE = pa.struct([pa.field("dataPoints", pa.list_(_DP))])
-_SUM = pa.struct(
-    [
-        pa.field("dataPoints", pa.list_(_DP)),
-        pa.field("aggregationTemporality", pa.int64()),
-        pa.field("isMonotonic", pa.bool_()),
-    ]
-)
-# Histogram branch (metrics.proto HistogramDataPoint): fixed explicit
-# bounds; count/bucketCounts are fixed64 → STRINGS in proto3 JSON.
+# Histogram branch: fixed explicit bounds; count/bucketCounts are
+# fixed64 → STRINGS in proto3 JSON. min/max: partials merge by
+# min-of-mins / max-of-maxes downstream
 HIST_BOUNDS = (10.0, 50.0, 100.0)
-_HDP = pa.struct(
-    [
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("count", pa.string()),
-        pa.field("sum", pa.float64()),
-        pa.field("bucketCounts", pa.list_(pa.string())),
-        pa.field("explicitBounds", pa.list_(pa.float64())),
-        # optional double min/max (HistogramDataPoint fields 11/12):
-        # partials merge by min-of-mins / max-of-maxes downstream
-        pa.field("min", pa.float64()),
-        pa.field("max", pa.float64()),
-    ]
-)
-_HIST = pa.struct(
-    [
-        pa.field("dataPoints", pa.list_(_HDP)),
-        pa.field("aggregationTemporality", pa.int64()),
-    ]
+_HISTOGRAM_POINT = Message(
+    "HistogramDataPoint",
+    (
+        ("attributes", 9, [KEY_VALUE]),
+        ("timeUnixNano", 3, "fixed64"),
+        ("count", 4, "fixed64"),
+        ("sum", 5, "double", "_sum"),
+        ("bucketCounts", 6, ["fixed64"]),
+        ("explicitBounds", 7, ["double"]),
+        ("min", 11, "double", "_min"),
+        ("max", 12, "double", "_max"),
+    ),
 )
 # ExponentialHistogram branch (scale 0): bucket index i covers
 # (2^i, 2^(i+1)], zeros ride the dedicated zeroCount field.
-_EB = pa.struct(
-    [
-        pa.field("offset", pa.int64()),
-        pa.field("bucketCounts", pa.list_(pa.string())),
-    ]
+_BUCKETS = Message(
+    "Buckets", (("offset", 1, "sint32"), ("bucketCounts", 2, ["uint64"]))
 )
-_EDP = pa.struct(
-    [
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("count", pa.string()),
-        pa.field("scale", pa.int64()),
-        pa.field("zeroCount", pa.string()),
-        pa.field("positive", _EB),
-    ]
-)
-_EXP_HIST = pa.struct(
-    [
-        pa.field("dataPoints", pa.list_(_EDP)),
-        pa.field("aggregationTemporality", pa.int64()),
-    ]
+_EXP_POINT = Message(
+    "ExponentialHistogramDataPoint",
+    (
+        ("attributes", 1, [KEY_VALUE]),
+        ("timeUnixNano", 3, "fixed64"),
+        ("count", 4, "fixed64"),
+        ("scale", 6, "sint32"),
+        ("zeroCount", 7, "fixed64"),
+        ("positive", 8, _BUCKETS),
+    ),
 )
 # Summary branch (legacy passthrough type): point-in-time quantiles —
 # NOT mergeable, so only count/sum feed the merged oracle gate.
 SUMMARY_QUANTILES = (0.5, 0.95)
-_VAQ = pa.struct(
-    [
-        pa.field("quantile", pa.float64()),
-        pa.field("value", pa.float64()),
-    ]
+_QUANTILE = Message(
+    "ValueAtQuantile", (("quantile", 1, "double"), ("value", 2, "double"))
 )
-_SDP = pa.struct(
-    [
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("count", pa.string()),
-        pa.field("sum", pa.float64()),
-        pa.field("quantileValues", pa.list_(_VAQ)),
-    ]
+_SUMMARY_POINT = Message(
+    "SummaryDataPoint",
+    (
+        ("attributes", 7, [KEY_VALUE]),
+        ("timeUnixNano", 3, "fixed64"),
+        ("count", 4, "fixed64"),
+        ("sum", 5, "double"),
+        ("quantileValues", 6, [_QUANTILE]),
+    ),
 )
-_SUMMARY = pa.struct([pa.field("dataPoints", pa.list_(_SDP))])
-_METRIC = pa.struct(
-    [
-        pa.field("name", pa.string()),
-        pa.field("gauge", _GAUGE),
-        pa.field("sum", _SUM),
-        pa.field("histogram", _HIST),
-        pa.field("exponentialHistogram", _EXP_HIST),
-        pa.field("summary", _SUMMARY),
-    ]
+_GAUGE_MSG = Message("Gauge", (("dataPoints", 1, [_NUMBER_POINT]),))
+_SUM_MSG = Message(
+    "Sum",
+    (("dataPoints", 1, [_NUMBER_POINT]), _TEMPORALITY, ("isMonotonic", 3, "bool")),
 )
-
-_RESOURCE_METRICS = resource_tree("scopeMetrics", "metrics", _METRIC)
+_HIST_MSG = Message("Histogram", (("dataPoints", 1, [_HISTOGRAM_POINT]), _TEMPORALITY))
+_EXP_HIST_MSG = Message(
+    "ExponentialHistogram", (("dataPoints", 1, [_EXP_POINT]), _TEMPORALITY)
+)
+_SUMMARY_MSG = Message("Summary", (("dataPoints", 1, [_SUMMARY_POINT]),))
+_METRIC_MSG = Message(
+    "Metric",
+    (
+        ("name", 1, "string"),
+        ("gauge", 5, _GAUGE_MSG, "data"),
+        ("sum", 7, _SUM_MSG, "data"),
+        ("histogram", 9, _HIST_MSG, "data"),
+        ("exponentialHistogram", 10, _EXP_HIST_MSG, "data"),
+        ("summary", 11, _SUMMARY_MSG, "data"),
+    ),
+)
+METRICS_REQUEST = request_message(
+    "ExportMetricsServiceRequest", "Metrics", "metrics", _METRIC_MSG
+)
+# the Arrow types nest builds each branch with
+_DP, _GAUGE, _SUM, _HDP, _HIST, _EB, _EDP, _EXP_HIST, _SDP, _SUMMARY, _METRIC = map(
+    arrow_type,
+    (
+        _NUMBER_POINT, _GAUGE_MSG, _SUM_MSG, _HISTOGRAM_POINT, _HIST_MSG, _BUCKETS,
+        _EXP_POINT, _EXP_HIST_MSG, _SUMMARY_POINT, _SUMMARY_MSG, _METRIC_MSG,
+    ),
+)
+_REQUEST = pa.schema(arrow_type(METRICS_REQUEST))
+_RESOURCE_METRICS = _REQUEST.field("resourceMetrics").type
 
 AGG_TEMPORALITY_DELTA = 1  # metrics.proto AggregationTemporality
 
@@ -169,8 +173,8 @@ def _dp_struct(
             pa.array(time_ns, type=pa.string()),
             pa.array(as_int, type=pa.string()),
         ],
-        names=["attributes", "timeUnixNano", "asInt"],
-    ).cast(_DP)
+        fields=list(_DP),
+    )
 
 
 def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
@@ -242,9 +246,7 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     s_off = np.append(sc_change, n).astype(np.int32)
     sum_dps = pa.ListArray.from_arrays(pa.array(s_off, type=pa.int32()), sum_dp)
 
-    gauge_struct = pa.StructArray.from_arrays(
-        [gauge_dps], names=["dataPoints"]
-    ).cast(_GAUGE)
+    gauge_struct = pa.StructArray.from_arrays([gauge_dps], fields=list(_GAUGE))
     sum_struct = pa.StructArray.from_arrays(
         [
             sum_dps,
@@ -254,8 +256,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
             ),
             pa.array(np.ones(n_scope, dtype=bool)),
         ],
-        names=["dataPoints", "aggregationTemporality", "isMonotonic"],
-    ).cast(_SUM)
+        fields=list(_SUM),
+    )
 
     # histogram datapoints: one per (scope, conversation) over PARSED
     # rows — per-request partial histograms (DELTA) that merge by
@@ -322,17 +324,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
             pa.array(h_mins.astype(np.float64), type=pa.float64()),
             pa.array(h_maxs.astype(np.float64), type=pa.float64()),
         ],
-        names=[
-            "attributes",
-            "timeUnixNano",
-            "count",
-            "sum",
-            "bucketCounts",
-            "explicitBounds",
-            "min",
-            "max",
-        ],
-    ).cast(_HDP)
+        fields=list(_HDP),
+    )
     h_off = np.searchsorted(
         p_scope[h_start] if n_h else np.empty(0, np.int64),
         np.arange(n_scope + 1),
@@ -346,8 +339,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
                 type=pa.int64(),
             ),
         ],
-        names=["dataPoints", "aggregationTemporality"],
-    ).cast(_HIST)
+        fields=list(_HIST),
+    )
 
     # exponential-histogram datapoints: same (scope, conv) groups, scale
     # 0 — idx = ceil(log2(v)) - 1 so bucket i covers (2^i, 2^(i+1)];
@@ -386,8 +379,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
                 pa.array(eb_counts.astype("U"), type=pa.string()),
             ),
         ],
-        names=["offset", "bucketCounts"],
-    ).cast(_EB)
+        fields=list(_EB),
+    )
     edp = pa.StructArray.from_arrays(
         [
             h_attrs,
@@ -397,15 +390,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
             pa.array(zero_per.astype("U"), type=pa.string()),
             positive,
         ],
-        names=[
-            "attributes",
-            "timeUnixNano",
-            "count",
-            "scale",
-            "zeroCount",
-            "positive",
-        ],
-    ).cast(_EDP)
+        fields=list(_EDP),
+    )
     exp_dps = pa.ListArray.from_arrays(pa.array(h_off, type=pa.int32()), edp)
     exp_struct = pa.StructArray.from_arrays(
         [
@@ -415,8 +401,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
                 type=pa.int64(),
             ),
         ],
-        names=["dataPoints", "aggregationTemporality"],
-    ).cast(_EXP_HIST)
+        fields=list(_EXP_HIST),
+    )
 
     # summary datapoints: same (scope, conv) groups — count/sum plus
     # point-in-time discrete quantiles of the group's latencies
@@ -455,14 +441,12 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
             pa.array(h_sums.astype(np.float64), type=pa.float64()),
             qlists,
         ],
-        names=["attributes", "timeUnixNano", "count", "sum", "quantileValues"],
-    ).cast(_SDP)
+        fields=list(_SDP),
+    )
     summary_dps = pa.ListArray.from_arrays(
         pa.array(h_off, type=pa.int32()), sdp
     )
-    summary_struct = pa.StructArray.from_arrays(
-        [summary_dps], names=["dataPoints"]
-    ).cast(_SUMMARY)
+    summary_struct = pa.StructArray.from_arrays([summary_dps], fields=list(_SUMMARY))
 
     def metric_entry(
         name, gauge=None, sum_=None, hist=None, exp=None, summ=None
@@ -476,15 +460,8 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
                 exp if exp is not None else pa.nulls(n_scope, _EXP_HIST),
                 summ if summ is not None else pa.nulls(n_scope, _SUMMARY),
             ],
-            names=[
-                "name",
-                "gauge",
-                "sum",
-                "histogram",
-                "exponentialHistogram",
-                "summary",
-            ],
-        ).cast(_METRIC)
+            fields=list(_METRIC),
+        )
 
     branches = [
         metric_entry("turn.latency_ms", gauge=gauge_struct),
@@ -738,7 +715,6 @@ def flatten_otlp_metrics_summary_batch(t: pa.Table) -> pa.Table:
 write_otlp_metrics_json = functools.partial(
     write_requests, nest=nest_otlp_metrics_batch
 )
-_REQUEST = pa.schema([("resourceMetrics", _RESOURCE_METRICS)])
 read_otlp_metrics_json = functools.partial(
     read_otlp_json, schema=_REQUEST, flatten=flatten_otlp_metrics_batch
 )

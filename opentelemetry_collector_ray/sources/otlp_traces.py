@@ -43,15 +43,17 @@ import pyarrow.compute as pc
 from ..schema import DIM_TOOL_SERVICE
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
+    KEY_VALUE,
+    Message,
     _require_non_null_keys,
-    _KV,
     _i64_strings,
     _kv_list,
     _md5_hex,
     _str,
+    arrow_type,
     read_otlp_json,
     record_attrs,
-    resource_tree,
+    request_message,
     walk_requests,
     with_context,
     write_requests,
@@ -61,35 +63,26 @@ from .otlp_json import (
 KIND_INT = {"user": 3, "assistant": 2, "tool": 1, "system": 1}
 STATUS_CODE_ERROR = 2  # trace.proto StatusCode.STATUS_CODE_ERROR
 
-_STATUS = pa.struct([pa.field("code", pa.int64())])
-_EVENT = pa.struct(
-    [
-        pa.field("timeUnixNano", pa.string()),
-        pa.field("name", pa.string()),
-    ]
+_EVENT = Message("Event", (("timeUnixNano", 1, "fixed64"), ("name", 2, "string")))
+_LINK = Message("Link", (("traceId", 1, "bytes"), ("spanId", 2, "bytes")))
+_SPAN = Message(
+    "Span",
+    (
+        ("traceId", 1, "bytes"),
+        ("spanId", 2, "bytes"),
+        ("parentSpanId", 4, "bytes"),
+        ("name", 5, "string"),
+        ("kind", 6, "int32"),  # SpanKind enum stand-in (the same varint)
+        ("startTimeUnixNano", 7, "fixed64"),
+        ("endTimeUnixNano", 8, "fixed64"),
+        ("attributes", 9, [KEY_VALUE]),
+        ("events", 11, [_EVENT]),
+        ("links", 13, [_LINK]),
+        # StatusCode enum stand-in; field 1 is reserved (deprecated_code)
+        ("status", 15, Message("Status", (("code", 3, "int32"),))),
+    ),
 )
-_LINK = pa.struct(
-    [
-        pa.field("traceId", pa.string()),
-        pa.field("spanId", pa.string()),
-    ]
-)
-_SPAN = pa.struct(
-    [
-        pa.field("traceId", pa.string()),
-        pa.field("spanId", pa.string()),
-        pa.field("parentSpanId", pa.string()),
-        pa.field("name", pa.string()),
-        pa.field("kind", pa.int64()),
-        pa.field("startTimeUnixNano", pa.string()),
-        pa.field("endTimeUnixNano", pa.string()),
-        pa.field("attributes", pa.list_(_KV)),
-        pa.field("events", pa.list_(_EVENT)),
-        pa.field("links", pa.list_(_LINK)),
-        pa.field("status", _STATUS),
-    ]
-)
-_RESOURCE_SPANS = resource_tree("scopeSpans", "spans", _SPAN)
+TRACES_REQUEST = request_message("ExportTraceServiceRequest", "Spans", "spans", _SPAN)
 
 
 def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
@@ -233,19 +226,7 @@ def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
             links,
             status,
         ],
-        names=[
-            "traceId",
-            "spanId",
-            "parentSpanId",
-            "name",
-            "kind",
-            "startTimeUnixNano",
-            "endTimeUnixNano",
-            "attributes",
-            "events",
-            "links",
-            "status",
-        ],
+        fields=list(arrow_type(_SPAN)),
     )
 
     # ---- scope groups: change points of (service, role)
@@ -354,6 +335,6 @@ write_otlp_traces_json = functools.partial(
 )
 read_otlp_traces_json = functools.partial(
     read_otlp_json,
-    schema=pa.schema([("resourceSpans", _RESOURCE_SPANS)]),
+    schema=pa.schema(arrow_type(TRACES_REQUEST)),
     flatten=flatten_otlp_traces_batch,
 )

@@ -72,10 +72,13 @@ ENCODING_RATIO = 5
 SAMPLE_FILES = 10
 
 
-def _parquet_files(paths, filesystem=None):
+def _listed_files(paths, filesystem=None, extensions=("parquet",)):
     """``(filesystem, [FileInfo])`` of the files ``paths`` name on
-    ``filesystem`` (local when None); a directory contributes the
-    ``*.parquet`` files under it. None when any size is unknown."""
+    ``filesystem`` (local when None); a directory contributes the files
+    under it that end in one of ``extensions`` (any file when None, as
+    Ray's ``file_extensions`` filter has it). None when any size is
+    unknown."""
+    ends = None if extensions is None else tuple("." + e for e in extensions)
     files = []
     try:
         paths = [paths] if isinstance(paths, str) else list(paths)
@@ -93,7 +96,8 @@ def _parquet_files(paths, filesystem=None):
                 files += [
                     f
                     for f in listed
-                    if f.type == pafs.FileType.File and f.path.endswith(".parquet")
+                    if f.type == pafs.FileType.File
+                    and (ends is None or f.path.lower().endswith(ends))
                 ]
             elif info.type == pafs.FileType.File:
                 files.append(info)
@@ -107,8 +111,9 @@ def _parquet_files(paths, filesystem=None):
 
 
 def _on_disk_bytes(paths, filesystem=None) -> int | None:
-    """Total on-disk bytes of ``paths`` (see ``_parquet_files``)."""
-    found = _parquet_files(paths, filesystem)
+    """Total on-disk bytes of the parquet files ``paths`` name (see
+    ``_listed_files``)."""
+    found = _listed_files(paths, filesystem)
     return None if found is None else sum(f.size for f in found[1])
 
 
@@ -119,12 +124,31 @@ def read_tasks(paths, filesystem=None) -> int | None:
     if not ray.is_initialized():
         return None
     on_disk = _on_disk_bytes(paths, filesystem)
-    if on_disk is None:
-        return None
+    return None if on_disk is None else _tasks(on_disk)
+
+
+def _tasks(on_disk: int) -> int:
     cpus = int(ray.cluster_resources().get("CPU", 1))
     target = ray.data.DataContext.get_current().target_max_block_size
     size_term = math.ceil(on_disk * ENCODING_RATIO / target) if target else 1
     return max(2 * cpus, size_term, 1)
+
+
+def file_tasks(paths, filesystem=None, extensions=None) -> int | None:
+    """Read tasks for a whole-file read (``read_binary_files`` over the
+    files ``extensions`` select, as for ``_listed_files``): the
+    ``read_tasks`` rule, but at most one task per file. Ray splits the
+    output of a read given more tasks than files, and the pieces of a
+    one-row file block come out empty and without columns. None (Ray's
+    default) when Ray is not initialised, a size is unknown or no file
+    is found."""
+    if not ray.is_initialized():
+        return None
+    found = _listed_files(paths, filesystem, extensions)
+    if not found or not found[1]:
+        return None
+    files = found[1]
+    return min(_tasks(sum(f.size for f in files)), len(files))
 
 
 def batch_rows(paths, filesystem=None) -> int | None:
@@ -137,7 +161,7 @@ def batch_rows(paths, filesystem=None) -> int | None:
     if not ray.is_initialized():
         return None
     target = ray.data.DataContext.get_current().target_max_block_size
-    found = _parquet_files(paths, filesystem)
+    found = _listed_files(paths, filesystem)
     if not target or found is None or not found[1]:
         return None
     fs, files = found

@@ -11,6 +11,7 @@ rows exactly — the reference receiver's delivery contract
 import glob
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,9 +33,11 @@ from opentelemetry_collector_ray.sources.otlp_json import (
 from opentelemetry_collector_ray.sources.otlp_pb import (
     SIGNALS,
     _classes,
+    decode_request,
     encode_logs_request,
     encode_request,
     read_otlp_pb,
+    typed_trees,
 )
 from opentelemetry_collector_ray.sources.transcripts import (
     transcripts_from_events,
@@ -237,11 +240,9 @@ _WIRE_IDS = {
 
 
 def _blocks(ds):
-    """A dataset's rows as one table; Ray may also emit schema-less
-    empty blocks (from read tasks that got no file)."""
-    return pa.concat_tables(
-        [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
-    )
+    """A dataset's blocks as one table: every block, empty or not, has
+    the flat schema (a read runs at most one task per file)."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
 
 
 @pytest.mark.parametrize("signal", sorted(SIGNALS))
@@ -358,23 +359,72 @@ def _edge_request(signal, fields=(), attrs=None, res=(), scope=(), top=()):
     }
 
 
+# fields the published schema has and the declaration leaves out, for
+# a request the full schema can encode (the last edge case)
+_PB_FOREIGN = {
+    "logs": {"observedTimeUnixNano": "5", "flags": 1, "droppedAttributesCount": 2},
+    "traces": {"traceState": "t", "droppedAttributesCount": 2, "droppedEventsCount": 1},
+    "metrics": {"startTimeUnixNano": "5", "flags": 1},
+}
+_ODD_ATTRS = [
+    {"key": "b", "value": {"boolValue": True}},
+    {"key": "d", "value": {"doubleValue": 1.5}},
+    {"key": "kv", "value": {"kvlistValue": {"values": [_SVC]}}},
+    {"key": "conv.id", "value": {"stringValue": "c1"}},
+]
+
+
+def _foreign_request(signal):
+    """Foreign fields on the record, resource and scope entry, and
+    AnyValue kinds outside the tree in the attributes (and the log
+    body)."""
+    body = {"body": {"boolValue": True}} if signal == "logs" else {}
+    return _edge_request(
+        signal, {**_PB_FOREIGN[signal], **body}, _ODD_ATTRS,
+        res={"droppedAttributesCount": 1}, scope={"schemaUrl": "u"},
+    )
+
+
+# _foreign_request(signal) as the full published schema encodes it
+_PB_EDGE = {
+    "logs": (
+        "0a93010a190a150a0c736572766963652e6e616d6512050a0373766310011276"
+        "0a070a027363120131126809e8030000000000002a02100132070a0162120210"
+        "01320e0a0164120921000000000000f83f321f0a026b76121932170a150a0c73"
+        "6572766963652e6e616d6512050a03737663320f0a07636f6e762e696412040a"
+        "026331380245010000005905000000000000001a0175"
+    ),
+    "metrics": (
+        "0a9a010a190a150a0c736572766963652e6e616d6512050a037376631001127d"
+        "0a070a027363120131126f0a016d2a6a0a6811050000000000000019e8030000"
+        "000000003105000000000000003a070a0162120210013a0e0a01641209210000"
+        "00000000f83f3a1f0a026b76121932170a150a0c736572766963652e6e616d65"
+        "12050a037376633a0f0a07636f6e762e696412040a02633140011a0175"
+    ),
+    "traces": (
+        "0ab0010a190a150a0c736572766963652e6e616d6512050a0373766310011292"
+        "010a070a0273631201311283010a100000000000000000000000000000000012"
+        "0811111111111111111a01742a017339e80300000000000041d0070000000000"
+        "004a070a0162120210014a0e0a0164120921000000000000f83f4a1f0a026b76"
+        "121932170a150a0c736572766963652e6e616d6512050a037376634a0f0a0763"
+        "6f6e762e696412040a026331500260011a0175"
+    ),
+}
+
+
 @pytest.mark.parametrize("signal", sorted(SIGNALS))
 def test_listener_and_json_reader_flatten_edge_requests(tmp_path, signal):
     """The OTLP/JSON edge corpus: empty requests, a resource without
     scopes, a bare record, unknown fields at every level and AnyValue
     kinds outside the tree all flatten to the same typed rows through
-    the listener and the NDJSON file reader. A number where proto3
-    JSON writes a 64-bit integer as a string is refused."""
+    the listener and the NDJSON file reader. The last case also comes
+    as protobuf bytes, and the listener and the .binpb reader flatten
+    them to the same rows. A number where proto3 JSON writes a 64-bit
+    integer as a string is refused."""
     sig = SIGNALS[signal]
     schema = pa.schema([(sig.root, sig.tree_type)])
     want_schema = sig.flatten(sig.nest(gen_transcripts(3))).schema
     bare = _BARE[signal][1]
-    odd = [
-        {"key": "b", "value": {"boolValue": True}},
-        {"key": "d", "value": {"doubleValue": 1.5}},
-        {"key": "kv", "value": {"kvlistValue": {"values": [_SVC]}}},
-        {"key": "conv.id", "value": {"stringValue": "c1"}},
-    ]
     unknown = {"observedTimeUnixNano": "5", "flags": 1,
                "droppedAttributesCount": 2}
     cases = [
@@ -393,30 +443,61 @@ def test_listener_and_json_reader_flatten_edge_requests(tmp_path, signal):
             _edge_request(
                 signal,
                 {"body": {"boolValue": True}} if signal == "logs" else {},
-                odd,
+                _ODD_ATTRS,
             ),
             [{**bare, "conv_id": "c1"}],
         ),
+        (_foreign_request(signal), [{**bare, "conv_id": "c1"}]),
     ]
+    bodies = [(json.dumps(req).encode(), False, rows) for req, rows in cases]
+    bodies.append((bytes.fromhex(_PB_EDGE[signal]), True, cases[-1][1]))
     classes = _classes()
-    for i, (req, rows) in enumerate(cases):
-        body = json.dumps(req).encode()
+    for i, (body, is_pb, rows) in enumerate(bodies):
         d = tmp_path / str(i)
         d.mkdir()
-        (d / "req.json").write_bytes(body + b"\n")
-        read = read_otlp_json(str(d), schema=schema, flatten=sig.flatten)
+        if is_pb:
+            (d / "req.binpb").write_bytes(body)
+            read = read_otlp_pb(str(d), signal=sig)
+        else:
+            (d / "req.json").write_bytes(body + b"\n")
+            read = read_otlp_json(str(d), schema=schema, flatten=sig.flatten)
         for got in (
-            _flatten_request(body, signal, False, classes),
+            _flatten_request(body, signal, is_pb, classes),
             _blocks(read),
         ):
-            assert got.schema == want_schema, req
-            assert got.to_pylist() == rows, req
+            assert got.schema == want_schema, body
+            assert got.to_pylist() == rows, body
     # proto3 JSON's 64-bit integers are decimal strings: a bare number
     # is a decode error (400 at the listener), not a guessed type
     time_key = "startTimeUnixNano" if signal == "traces" else "timeUnixNano"
     numeric = json.dumps(_edge_request(signal, {time_key: 1000})).encode()
     with pytest.raises(pa.ArrowInvalid):
         _flatten_request(numeric, signal, False, classes)
+
+
+def test_protobuf_non_finite_double_reads_as_a_value():
+    """A NaN or infinite double on the protobuf wire is a value: a
+    histogram sum of NaN and a min of -inf decode as such and the
+    request flattens. The JSON wire still refuses proto3's "NaN"
+    string for a double."""
+    sig = SIGNALS["metrics"]
+    req = _edge_request("metrics")
+    dp = {"timeUnixNano": "1000", "count": "1", "sum": math.nan, "min": -math.inf}
+    req[sig.root][0]["scopeMetrics"][0]["metrics"].append(
+        {"name": "h", "histogram": {"dataPoints": [dp]}}
+    )
+    pb = encode_request(sig, req)
+    classes = _classes()
+    assert _flatten_request(pb, "metrics", True, classes).to_pylist() == [
+        _BARE["metrics"][1]
+    ]
+    tree = typed_trees(sig, [decode_request(sig, pb)[sig.root]])
+    hist = tree[sig.root][0][0]["scopeMetrics"][0]["metrics"][1]["histogram"]
+    got = hist["dataPoints"][0].as_py()
+    assert math.isnan(got["sum"]) and got["min"] == -math.inf
+    dp["sum"], dp["min"] = "NaN", "-Infinity"
+    with pytest.raises(pa.ArrowInvalid):
+        _flatten_request(json.dumps(req).encode(), "metrics", False, classes)
 
 
 def test_http_listener_error_paths(tmp_path):

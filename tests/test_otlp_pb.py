@@ -7,6 +7,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from opentelemetry_collector_ray.sources.otlp_json import (
@@ -15,11 +16,13 @@ from opentelemetry_collector_ray.sources.otlp_json import (
     write_otlp_logs_json,
 )
 from opentelemetry_collector_ray.sources.otlp_pb import (
+    _classes,
     decode_logs_request,
     encode_logs_request,
     read_otlp_logs_pb,
     write_otlp_logs_pb,
 )
+from opentelemetry_collector_ray.state.httpreceiver import _flatten_request
 
 
 def _transcript_batch():
@@ -166,3 +169,38 @@ def test_empty_dataset_roundtrip(ray_session, tmp_path):
         assert read_otlp_logs_pb(out).count() == 0
     else:
         assert n == 0
+
+
+def _ld(field, payload):
+    """A length-delimited protobuf field (payloads under 128 bytes)."""
+    return bytes([field << 3 | 2, len(payload)]) + payload
+
+
+def test_decode_skips_undeclared_fields():
+    """A field the declaration leaves out is an unknown field on the
+    wire: decode skips it unparsed, so it is not in the tree and a
+    malformed value inside it does not fail the request."""
+    # AnyValue.kvlist_value (6) holding bytes that are no KeyValueList
+    attr = _ld(1, b"kv") + _ld(2, _ld(6, b"\xff\xff"))
+    record = (
+        bytes([1 << 3 | 1]) + (1000).to_bytes(8, "little")  # time_unix_nano
+        + _ld(6, attr)  # attributes
+        + bytes([11 << 3 | 1]) + (5).to_bytes(8, "little")  # observed_time
+    )
+    buf = _ld(1, _ld(2, _ld(2, record)))
+    rec = {"timeUnixNano": "1000", "attributes": [{"key": "kv", "value": {}}]}
+    assert decode_logs_request(buf) == {
+        "resourceLogs": [{"scopeLogs": [{"logRecords": [rec]}]}]
+    }
+    flat = _flatten_request(buf, "logs", True, _classes())
+    assert flat["time_unix_nano"].to_pylist() == [1000]
+
+
+def test_encode_refuses_undeclared_keys():
+    """Encode sets only declared fields: any other key is an error that
+    names it, even one the published schema has."""
+    req = {"resourceLogs": [{"scopeLogs": [{"logRecords": [
+        {"timeUnixNano": "1000", "observedTimeUnixNano": "5"}
+    ]}]}]}
+    with pytest.raises(ValueError, match="observedTimeUnixNano"):
+        encode_logs_request(req)
