@@ -80,8 +80,9 @@ def run_logs_pipeline(
     fanout never copies blocks, and each sink directory is independently
     re-readable (resumable layout).
 
-    ``read_transcripts`` sizes the read to the cluster, so the read,
-    the stage chain and the write fuse into one task per read task: two
+    ``read_transcripts`` plans the read from the shards' footers (no
+    sampling task) and sizes it to the cluster, so the read, the stage
+    chain and the write fuse into one task per read task: two
     shards on one CPU run as 2 tasks and land 10 files (one per shard
     per sink), not 70 from Ray's split default read. ``msg`` is dropped
     by the chain's last member, not by a ``drop_columns`` operator of
@@ -109,7 +110,7 @@ def run_logs_pipeline(
     # surface, counted at the exporter boundary like
     # obsreport_exporter.go:42-57.
     per_sink = write_sinks(exploded, out_dir)
-    # answered from parquet metadata: no Ray Data job runs
+    # answered from the read tasks' footer rows: no Ray Data job runs
     accepted = int(ds.count())
     counters = {m.receiver_accepted(): accepted}
     for sink, n in per_sink.items():

@@ -201,7 +201,7 @@ def compact_parquet_dir(
             if "=" in d and os.path.isdir(os.path.join(path, d))
         }
     )
-    # the directory goes to Ray unchanged so hive discovery still works
+    # the read turns the key=value directories back into string columns
     ds = read_parquet(path, **read_kwargs)
     write_kwargs = {"min_rows_per_file": min_rows_per_file}
     if part_cols:

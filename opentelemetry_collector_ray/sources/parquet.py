@@ -26,8 +26,7 @@ its read output at once; with the CPU term alone, 100 TB on 8k CPUs
 would run about 16k tasks of about 6 GB each. The size is estimated
 from file sizes on the read's own filesystem (one ``get_file_info``
 call for the inputs, one listing per directory), times Ray's default
-parquet encoding ratio. No probe dataset is built: each
-``read_parquet`` construction samples the encoding ratio in a task.
+parquet encoding ratio.
 
 ``batch_rows`` sizes the batches a read task yields. Ray's reader
 takes ``min(10_000, (target_max_block_size // 10) ÷ sampled row
@@ -41,25 +40,66 @@ budget and drops the cap:
 
     (target_max_block_size // 10) ÷ (on-disk bytes × ENCODING_RATIO ÷ rows)
 
-with the on-disk bytes and footer row counts of at most
-``SAMPLE_FILES`` files spread over the inputs (Ray samples at most 10
-files, in tasks; reading footers needs none). The same shard is then
-one batch. Memory bound: a batch holds about the budget when the data
-inflates at most ``ENCODING_RATIO``× from disk, the assumption Ray's
-own read-task sizing makes; data that inflates more gets batches that
-much larger. A batch never spans files, and a fused read→write task
-holds all of its read output anyway (see above), so a batch never
-outgrows what its task already holds.
+with the on-disk bytes and footer row counts of the inputs. The same
+shard is then one batch. Memory bound: a batch holds about the budget
+when the data inflates at most ``ENCODING_RATIO``× from disk, the
+assumption Ray's own read-task sizing makes; data that inflates more
+gets batches that much larger. A batch never spans files, and a fused
+read→write task holds all of its read output anyway (see above), so a
+batch never outgrows what its task already holds.
+
+``read_parquet`` plans the read on the driver with ``ParquetDatasource``
+and hands it to ``ray.data.read_datasource``. Ray's own
+``ParquetDatasource`` runs ``sample_fragments`` tasks on every
+construction to estimate the encoding ratio and the batch rows, and no
+``ray.data.read_parquet`` argument skips them: about 10 % of a one-CPU
+``run_logs_pipeline`` pass. The plan here needs no task for a read of
+up to 24 files:
+
+- the files come from ``_list_files``, the listing that sizes the
+  read (a directory gives its ``*.parquet`` files, hidden ``.``/``_``
+  entries skipped as pyarrow's discovery skips them), so the reader
+  reads exactly the files that sizing counted; ``scheme://`` inputs
+  resolve through ``wirefs.resolve_fs``;
+- each footer gives its file's row count and schema, fetched the way
+  Ray fetches them (``ParquetMetadataProvider.prefetch_file_metadata``:
+  on the driver up to 24 files, in tasks above that);
+- the files are split into read tasks with ``np.array_split``, as Ray
+  splits them; each task carries its footer rows (so ``count()`` runs
+  no job), its on-disk bytes × ``ENCODING_RATIO`` and its files, and
+  the read's column-projected schema;
+- ``estimate_inmemory_data_size`` is the same on-disk ×
+  ``ENCODING_RATIO`` figure, so Ray's ``SetReadParallelismRule`` splits
+  blocks exactly as it did for ``ray.data.read_parquet``;
+- a task reads its files one after another with ``use_threads=False``
+  (as Ray's reader does), ``batch_rows`` rows a batch, skips empty
+  batches, and adds hive ``key=value`` directories as string columns,
+  as Ray's ``PathPartitionParser`` does (``sink=007`` stays ``"007"``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.fs as pafs
-import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray import cloudpickle
+from ray.data.block import BlockAccessor, BlockMetadata
+from ray.data.datasource import (
+    Datasource,
+    ParquetMetadataProvider,
+    Partitioning,
+    PathPartitionParser,
+    ReadTask,
+)
+
+from . import wirefs
 
 # In-memory bytes per on-disk byte: Ray's own default
 # (PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT, ray/data/_internal/
@@ -67,47 +107,82 @@ import ray.data
 # corpus (14.6 MB in memory, 2.62 MB on disk).
 ENCODING_RATIO = 5
 
-# Files whose footers size a read batch: Ray samples at most as many to
-# size its own (PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES).
-SAMPLE_FILES = 10
+# Rows per read batch when ``batch_rows`` has no answer (no Ray session
+# at planning time, no byte budget, no footer rows): Ray's reader cap
+# (PARQUET_READER_ROW_BATCH_SIZE).
+READER_BATCH_ROWS = 10_000
+
+# CPUs a footer-fetch task reserves above 24 files: Ray's
+# NUM_CPUS_FOR_META_FETCH_TASK.
+FOOTER_TASK_CPUS = 0.5
+
+_FORMAT = pads.ParquetFileFormat()
+_HIVE = PathPartitionParser(Partitioning("hive"))
 
 
-def _listed_files(paths, filesystem=None, extensions=("parquet",)):
-    """``(filesystem, [FileInfo])`` of the files ``paths`` name on
-    ``filesystem`` (local when None); a directory contributes the files
-    under it that end in one of ``extensions`` (any file when None, as
-    Ray's ``file_extensions`` filter has it). None when any size is
-    unknown."""
+def _resolve(paths, filesystem=None):
+    """``(filesystem, [path])``: an explicit ``filesystem`` takes the
+    paths as given; otherwise the first path's scheme picks it
+    (``wirefs.resolve_fs``, every entry on that filesystem) and local
+    paths become absolute, so read tasks find them from any cwd."""
+    paths = [paths] if isinstance(paths, str) else list(paths)
+    if filesystem is None and paths:
+        filesystem = wirefs.resolve_fs(paths[0])[0]
+        paths = [
+            wirefs.strip_scheme(p) if "://" in p else os.path.abspath(p)
+            for p in paths
+        ]
+    return filesystem or pafs.LocalFileSystem(), paths
+
+
+def _hidden(path: str, base: str) -> bool:
+    """Whether a directory entry is hidden from a read the way pyarrow's
+    dataset discovery hides it: a ``.`` or ``_`` name below ``base``."""
+    rel = path[len(base):].strip("/")
+    return any(part.startswith((".", "_")) for part in rel.split("/"))
+
+
+def _list_files(paths, filesystem=None, extensions=("parquet",)):
+    """``(filesystem, [FileInfo])`` of the files ``paths`` name; a
+    directory contributes the non-hidden files under it that end in one
+    of ``extensions`` (any file when None, as Ray's ``file_extensions``
+    filter has it), sorted. Raises ``FileNotFoundError`` for a missing
+    path."""
+    fs, paths = _resolve(paths, filesystem)
+    if not isinstance(fs, pafs.FileSystem):
+        raise TypeError(f"not a pyarrow filesystem: {fs!r}")
     ends = None if extensions is None else tuple("." + e for e in extensions)
     files = []
-    try:
-        paths = [paths] if isinstance(paths, str) else list(paths)
-        if filesystem is None:
-            if any("://" in p for p in paths):
-                return None  # Ray resolves the URI's filesystem itself
-            filesystem = pafs.LocalFileSystem()
-        if not isinstance(filesystem, pafs.FileSystem):
-            return None
-        for info in filesystem.get_file_info(paths):
-            if info.type == pafs.FileType.Directory:
-                listed = filesystem.get_file_info(
-                    pafs.FileSelector(info.path, recursive=True)
-                )
-                files += [
+    for info in fs.get_file_info(paths):
+        if info.type == pafs.FileType.Directory:
+            listed = fs.get_file_info(pafs.FileSelector(info.path, recursive=True))
+            files += sorted(
+                (
                     f
                     for f in listed
                     if f.type == pafs.FileType.File
+                    and not _hidden(f.path, info.path)
                     and (ends is None or f.path.lower().endswith(ends))
-                ]
-            elif info.type == pafs.FileType.File:
-                files.append(info)
-            else:
-                return None  # missing: Ray's own read reports it
+                ),
+                key=lambda f: f.path,
+            )
+        elif info.type == pafs.FileType.File:
+            files.append(info)
+        else:
+            raise FileNotFoundError(info.path)
+    return fs, files
+
+
+def _listed_files(paths, filesystem=None, extensions=("parquet",)):
+    """``_list_files``, or None when a path is missing, the filesystem
+    cannot list it, or any size is unknown."""
+    try:
+        fs, files = _list_files(paths, filesystem, extensions)
     except (OSError, TypeError, ValueError):
         return None
     if any(f.size is None for f in files):
         return None
-    return filesystem, files
+    return fs, files
 
 
 def _on_disk_bytes(paths, filesystem=None) -> int | None:
@@ -151,43 +226,156 @@ def file_tasks(paths, filesystem=None, extensions=None) -> int | None:
     return min(_tasks(sum(f.size for f in files)), len(files))
 
 
+def _footers(fs, paths) -> list:
+    """Each file's footer (``num_rows``, ``schema_pickled``), fetched by
+    Ray's ``ParquetMetadataProvider``: on the driver up to 24 files, in
+    Ray tasks above that."""
+    ctx = ray.data.DataContext.get_current()
+    got = ParquetMetadataProvider().prefetch_file_metadata(
+        [_FORMAT.make_fragment(p, filesystem=fs) for p in paths],
+        num_cpus=FOOTER_TASK_CPUS,
+        scheduling_strategy=ctx.scheduling_strategy,
+    ) or []
+    return list(got) + [None] * (len(paths) - len(got))
+
+
+def _rows_per_batch(on_disk: int, rows: int) -> int | None:
+    """The byte rule: Ray's budget ``target_max_block_size // 10`` ÷
+    (``on_disk`` × ``ENCODING_RATIO`` ÷ ``rows``), at least 1; None
+    without a session, a budget or rows."""
+    target = ray.data.DataContext.get_current().target_max_block_size
+    if not ray.is_initialized() or not target or not rows:
+        return None
+    return max(1, int(target // 10 // (on_disk * ENCODING_RATIO / rows)))
+
+
 def batch_rows(paths, filesystem=None) -> int | None:
-    """Rows per read batch: Ray's byte budget ``target_max_block_size
-    // 10`` ÷ the estimated in-memory row width, on-disk bytes ×
-    ``ENCODING_RATIO`` ÷ footer rows over at most ``SAMPLE_FILES``
-    files spread over the inputs; at least 1. None (Ray's default) when
-    Ray is not initialised, the budget is unset, or a size or row count
-    is unknown."""
+    """Rows per read batch for ``paths``: the ``batch_size`` their
+    ``ParquetDatasource`` plans, ``_rows_per_batch`` over the inputs'
+    on-disk bytes and footer rows. None (the reader then takes
+    ``READER_BATCH_ROWS``) when Ray is not initialised, the budget is
+    unset, a path is missing, or a size or row count is unknown."""
     if not ray.is_initialized():
         return None
-    target = ray.data.DataContext.get_current().target_max_block_size
-    found = _listed_files(paths, filesystem)
-    if not target or found is None or not found[1]:
-        return None
-    fs, files = found
-    sample = files[:: -(-len(files) // SAMPLE_FILES)]  # every ⌈n / 10⌉th
     try:
-        rows = sum(pq.read_metadata(f.path, filesystem=fs).num_rows for f in sample)
-    except (OSError, ValueError):
+        return ParquetDatasource(paths, filesystem=filesystem).batch_size
+    except (OSError, TypeError, ValueError):
         return None
-    if not rows:
-        return None
-    width = sum(f.size for f in sample) * ENCODING_RATIO / rows
-    return max(1, int(target // 10 // width))
 
 
-def read_parquet(paths, **kwargs) -> ray.data.Dataset:
-    """``ray.data.read_parquet`` with ``override_num_blocks`` from
-    ``read_tasks`` and ``batch_size`` from ``batch_rows``. An explicit
+def _read_files(fs, paths, columns, partition_columns, batch_size):
+    """A read task: each file in turn, ``batch_size`` rows a batch, one
+    thread; empty batches are skipped and hive ``key=value`` directories
+    become string columns (those in ``partition_columns`` when it is
+    not None)."""
+    for path in paths:
+        parts = _HIVE(path)
+        if partition_columns is not None:
+            parts = {k: v for k, v in parts.items() if k in partition_columns}
+        fragment = _FORMAT.make_fragment(path, filesystem=fs)
+        for batch in fragment.to_batches(
+            columns=columns, batch_size=batch_size, use_threads=False
+        ):
+            if not batch.num_rows:
+                continue
+            table = pa.Table.from_batches([batch])
+            for name, value in parts.items():
+                if name not in table.column_names:
+                    table = BlockAccessor.for_block(table).fill_column(name, value)
+            yield table
+
+
+class ParquetDatasource(Datasource):
+    """An engine parquet read planned from its files' footers (see the
+    module docstring): no sampling task, one footer read per file."""
+
+    def __init__(self, paths, *, columns=None, filesystem=None, batch_size=None):
+        self._fs, files = _list_files(paths, filesystem)
+        self.files = [f.path for f in files]
+        self._sizes = [f.size for f in files]
+        self._on_disk = None if None in self._sizes else sum(self._sizes)
+        footers = _footers(self._fs, self.files)
+        self._rows = [None if m is None else m.num_rows for m in footers]
+        self.columns = columns
+        self._columns = self._partition_columns = None
+        self._schema = None
+        if footers and footers[0] is not None:
+            schema = cloudpickle.loads(footers[0].schema_pickled)
+            first_parts = _HIVE(self.files[0])
+            for name in first_parts:
+                if name not in schema.names:
+                    schema = schema.append(pa.field(name, pa.string()))
+            if columns is not None:
+                self._columns = [c for c in columns if c not in first_parts]
+                self._partition_columns = [c for c in columns if c in first_parts]
+                schema = pa.schema([schema.field(c) for c in columns], schema.metadata)
+            self._schema = schema
+        if batch_size is None and self._on_disk is not None and None not in self._rows:
+            batch_size = _rows_per_batch(self._on_disk, sum(self._rows))
+        self.batch_size = batch_size
+
+    def read_tasks(self) -> int | None:
+        """``read_tasks`` for the planned files (None without a session
+        or with a size unknown)."""
+        if not ray.is_initialized() or self._on_disk is None:
+            return None
+        return _tasks(self._on_disk)
+
+    def estimate_inmemory_data_size(self) -> int | None:
+        return None if self._on_disk is None else self._on_disk * ENCODING_RATIO
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        read = functools.partial(
+            _read_files,
+            self._fs,
+            columns=self._columns,
+            partition_columns=self._partition_columns,
+            batch_size=self.batch_size or READER_BATCH_ROWS,
+        )
+        tasks = []
+        for group in np.array_split(np.arange(len(self.files)), parallelism):
+            if not len(group):
+                continue
+            files = [self.files[i] for i in group]
+            rows = [self._rows[i] for i in group]
+            sizes = [self._sizes[i] for i in group]
+            meta = BlockMetadata(
+                num_rows=None if None in rows else sum(rows),
+                size_bytes=None if None in sizes else sum(sizes) * ENCODING_RATIO,
+                input_files=files,
+                exec_stats=None,
+            )
+            tasks.append(
+                ReadTask(functools.partial(read, files), meta, schema=self._schema)
+            )
+        return tasks
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+
+def read_parquet(
+    paths,
+    *,
+    columns=None,
+    filesystem=None,
+    override_num_blocks=None,
+    parallelism=-1,
+    batch_size=None,
+) -> ray.data.Dataset:
+    """An engine parquet read: ``ray.data.read_datasource`` over a
+    ``ParquetDatasource``, with ``override_num_blocks`` from
+    ``read_tasks`` and batches of ``batch_rows`` rows. An explicit
     ``override_num_blocks`` or ``parallelism``, or an explicit
     ``batch_size``, from the caller is left alone."""
-    fs = kwargs.get("filesystem")
-    if kwargs.get("override_num_blocks") is None and kwargs.get("parallelism", -1) == -1:
-        n = read_tasks(paths, fs)
-        if n is not None:
-            kwargs["override_num_blocks"] = n
-    if kwargs.get("batch_size") is None:
-        rows = batch_rows(paths, fs)
-        if rows is not None:
-            kwargs["batch_size"] = rows
-    return ray.data.read_parquet(paths, **kwargs)
+    source = ParquetDatasource(
+        paths, columns=columns, filesystem=filesystem, batch_size=batch_size
+    )
+    kwargs = {}
+    if parallelism != -1:
+        kwargs["parallelism"] = parallelism
+    elif override_num_blocks is None:
+        override_num_blocks = source.read_tasks()
+    if override_num_blocks is not None:
+        kwargs["override_num_blocks"] = override_num_blocks
+    return ray.data.read_datasource(source, **kwargs)

@@ -53,6 +53,9 @@ EVENT_TOOL = {
 def read_transcripts(paths, **kwargs) -> ray.data.Dataset:
     """Read a transcript Parquet corpus (column-pruned to the model).
 
+    The read is ``parquet.read_parquet``: planned on the driver from
+    the listed shards and their footers, with no sampling task, so each
+    read task carries its footer rows and ``count()`` runs no job.
     Read tasks come from ``parquet.read_tasks`` (at least 2 × cluster
     CPUs, more only when the data outgrows ``target_max_block_size``),
     not Ray's 200-block default: an unsplit read fuses with the stages

@@ -19,8 +19,8 @@ fsync the spool directory). Once the segment holds
 ``SEGMENT_ROWS`` rows (or on ``flush`` / the non-durable buffer
 threshold) it is **sealed**: ``seq`` moves on and the file is never
 written again. A drain thus reads a few segments, not one file per
-request (above 24 files ``ray.data.read_parquet`` moves footer fetching
-into Ray tasks — see CLAUDE.md).
+request (above 24 files a parquet read fetches its footers in Ray
+tasks — see CLAUDE.md).
 
 Delivery contract: by default ``export`` acks after the rows are in the
 actor buffer — an actor crash before the next publish loses up-to-one

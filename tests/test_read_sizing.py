@@ -1,8 +1,10 @@
-"""Read sizing (sources/parquet.py): read tasks = max(2 × cluster CPUs,
-⌈estimated in-memory bytes / target_max_block_size⌉), passed to
-``ray.data.read_parquet`` as ``override_num_blocks``; rows per batch =
-(target_max_block_size // 10) ÷ (on-disk bytes × ENCODING_RATIO ÷
-footer rows), without Ray's 10k-row cap, passed as ``batch_size``."""
+"""Read sizing and planning (sources/parquet.py): read tasks = max(2 ×
+cluster CPUs, ⌈estimated in-memory bytes / target_max_block_size⌉),
+passed to ``ray.data.read_datasource`` as ``override_num_blocks``; rows
+per batch = (target_max_block_size // 10) ÷ (on-disk bytes ×
+ENCODING_RATIO ÷ footer rows), without Ray's 10k-row cap, the
+``ParquetDatasource``'s ``batch_size``. The datasource plans from the
+listed files and their footers, with no sampling task."""
 
 import json
 import os
@@ -28,14 +30,20 @@ def one_cpu(monkeypatch):
 
 @pytest.fixture
 def read_spy(monkeypatch):
-    """Record the kwargs ``ray.data.read_parquet`` is called with."""
+    """Record each ``ray.data.read_datasource`` call as (the files the
+    datasource plans to read, the kwargs it is called with plus the
+    datasource's ``columns`` and ``batch_size`` when set)."""
     calls = []
 
-    def spy(paths, **kwargs):
-        calls.append((paths, kwargs))
+    def spy(source, **kwargs):
+        assert isinstance(source, parquet.ParquetDatasource)
+        for name in ("columns", "batch_size"):
+            if getattr(source, name) is not None:
+                kwargs[name] = getattr(source, name)
+        calls.append((source.files, kwargs))
         return "dataset"
 
-    monkeypatch.setattr(parquet.ray.data, "read_parquet", spy)
+    monkeypatch.setattr(parquet.ray.data, "read_datasource", spy)
     return calls
 
 
@@ -111,21 +119,28 @@ def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, 
         parquet.ENCODING_RATIO * 2,
     )
     parquet.read_parquet(str(d))
-    # the directory goes to Ray unchanged (hive discovery); the same
-    # target gives a one-byte batch budget, so one row per batch
+    # the datasource reads the parquet files sizing counted (not
+    # notes.txt); the same target gives a one-byte batch budget, so one
+    # row per batch
     assert read_spy == [
-        (str(d), {"override_num_blocks": -(-want // 2), "batch_size": 1}),
+        (
+            [str(d / "g.parquet"), str(d / "sink=a" / "f.parquet")],
+            {"override_num_blocks": -(-want // 2), "batch_size": 1},
+        ),
     ]
 
 
 def test_unknown_size_gives_no_override(tmp_path, one_cpu, read_spy):
     missing = [str(tmp_path / "missing.parquet")]
+    missing_uri = ["file://" + missing[0]]
     assert parquet.read_tasks(missing) is None
-    assert parquet.read_tasks(["s3://bucket/part-0.parquet"]) is None
+    assert parquet.read_tasks(missing_uri) is None
     assert parquet.batch_rows(missing) is None
-    assert parquet.batch_rows(["s3://bucket/part-0.parquet"]) is None
-    parquet.read_parquet(missing)
-    assert read_spy == [(missing, {})]
+    assert parquet.batch_rows(missing_uri) is None
+    # the read itself reports the missing file, as Ray's reader did
+    with pytest.raises(FileNotFoundError):
+        parquet.read_parquet(missing)
+    assert read_spy == []
 
 
 def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
@@ -336,3 +351,126 @@ def test_one_cpu_route_config_runs_as_one_task_operator(tmp_path):
     assert "ReadParquet->" in got["ops"][0] and "->Write" in got["ops"][0]
     assert got["per_sink"] == got["ref"]
     assert got["files"] == 2 * len(got["per_sink"])
+
+
+def test_directory_reads_only_its_parquet_files(tmp_path):
+    """A directory holding a non-parquet file beside its parquet files
+    reads the parquet rows: the reader reads exactly the files sizing
+    counted."""
+    d = tmp_path / "mixed"
+    d.mkdir()
+    for i in range(2):
+        pq.write_table(pa.table({"x": list(range(i * 10, i * 10 + 10))}),
+                       str(d / f"part-{i}.parquet"))
+    (d / "notes.txt").write_text("not parquet")
+    ds = parquet.read_parquet(str(d))
+    assert sorted(ds.to_pandas()["x"]) == list(range(20))
+
+
+def test_uri_shards_read_like_paths(tmp_path):
+    """A list of ``file://`` shards is sized and read like the plain
+    paths."""
+    paths = _small_files(tmp_path)
+    uris = ["file://" + p for p in paths]
+    assert parquet.read_tasks(uris) == parquet.read_tasks(paths)
+    assert parquet.batch_rows(uris) == parquet.batch_rows(paths)
+    got = parquet.read_parquet(uris).to_pandas()
+    want = parquet.read_parquet(paths).to_pandas()
+    assert sorted(got["x"]) == sorted(want["x"]) == sorted(list(range(100)) * 2)
+
+
+def test_count_is_footer_rows(tmp_path):
+    """Each read task carries its files' footer rows, so ``count()`` is
+    answered from metadata."""
+    paths = _small_files(tmp_path, n=3)
+    ds = parquet.read_parquet(paths)
+    assert ds._meta_count() == sum(pq.read_metadata(p).num_rows for p in paths)
+
+
+def test_hive_values_stay_strings(tmp_path):
+    """Hive ``key=value`` directories become string columns, as Ray's
+    reader makes them: ``sink=007`` stays ``"007"``."""
+    d = tmp_path / "hive"
+    for sink, n in (("007", 3), ("a", 2)):
+        (d / f"sink={sink}").mkdir(parents=True)
+        pq.write_table(pa.table({"x": list(range(n))}), str(d / f"sink={sink}" / "f.parquet"))
+
+    def rows(ds):
+        df = ds.to_pandas()
+        return sorted(zip(df["sink"], df["x"].tolist()))
+
+    ours = parquet.read_parquet(str(d))
+    assert ours.schema().base_schema.field("sink").type == pa.string()
+    assert rows(ours) == rows(ray.data.read_parquet(str(d)))
+    assert ("007", 0) in rows(ours)
+
+
+def test_unsupported_keyword_raises(tmp_path):
+    with pytest.raises(TypeError):
+        parquet.read_parquet(_small_files(tmp_path), filter=None)
+
+
+def test_one_cpu_reads_never_sample(tmp_path):
+    """With Ray's ``sample_fragments`` made to raise, every engine read
+    still plans and runs: ``run_logs_pipeline`` over two ``file://``
+    shards (one fused ReadParquet->MapBatches(StageChain)->Write
+    operator of 2 tasks), the config source (``build_source``) and the
+    tailer's read."""
+    paths = _two_shards(tmp_path)
+    cfg = tmp_path / "pipe.yaml"
+    cfg.write_text(
+        "pipeline:\n  source:\n    type: parquet\n    paths: [unused]\n"
+        "  stages: [{type: parse}]\n"
+        "  sinks: {mode: single, out_dir: " + str(tmp_path / "nominal") + "}\n"
+    )
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.path.insert(0, {REPO!r})
+        import ray
+        ray.init(address="local", num_cpus=1,
+                 include_dashboard=False, logging_level="ERROR")
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        from ray.data._internal.datasource import parquet_datasource
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_fragments ran")
+
+        parquet_datasource.sample_fragments = no_sampling
+        import __ray_entry__  # pickle-by-value registration
+        from opentelemetry_collector_ray.pipelines import logs
+        from opentelemetry_collector_ray.pipelines.builder import build_source
+        from opentelemetry_collector_ray.pipelines.config import load_config
+        from opentelemetry_collector_ray.sinks import writers
+        from opentelemetry_collector_ray.state.tailer import ConfigWatcher
+
+        written = []
+        real = writers.atomic_write_parquet
+
+        def spy(ds, *args, **kwargs):
+            written.append(ds)
+            return real(ds, *args, **kwargs)
+
+        writers.atomic_write_parquet = spy
+        paths = {paths!r}
+        res = logs.run_logs_pipeline(["file://" + p for p in paths], {str(tmp_path / "out")!r})
+        ops = [l for l in written[0].stats().splitlines() if l.startswith("Operator")]
+        source = build_source(load_config({{"pipeline": {{
+            "source": {{"type": "parquet", "paths": paths}},
+            "stages": [],
+            "sinks": {{"mode": "single", "out_dir": {str(tmp_path / "o2")!r}}},
+        }}}})).count()
+        tailed = ConfigWatcher({str(cfg)!r})(paths).count()
+        print(json.dumps({{"accepted": res["accepted"], "ops": ops,
+                           "source": source, "tailed": tailed}}))
+        ray.shutdown()
+        """
+    )
+    got = _run_one_cpu(code, tmp_path)
+    rows = sum(pq.read_metadata(p).num_rows for p in paths)
+    assert got["accepted"] == got["source"] == got["tailed"] == rows
+    assert len(got["ops"]) == 1, got["ops"]
+    name, tasks = got["ops"][0].split(": ")[:2]
+    assert name == "Operator 1 ReadParquet->MapBatches(StageChain)->Write"
+    assert tasks.startswith(f"{len(paths)} tasks executed"), got["ops"][0]
