@@ -10,8 +10,9 @@ counters (per-sink counts from the written files' parquet footers).
 ``run_logs_pipeline`` runs as ONE operator,
 ``ReadParquet->MapBatches(StageChain)->Write``: the chain is parse →
 enrich → explode per sink → drop ``msg``, and each read task yields one
-batch per shard (``sources/parquet.batch_rows``), so each fused task
-calls the chain once per shard and lands one row group per sink file.
+batch per shard (``sources/parquet.ParquetDatasource.batch_size``), so
+each fused task calls the chain once per shard and lands one row group
+per sink file.
 
 All stages run ``batch_format="pyarrow"`` (zero-copy from the object
 store). The only all-to-all operations are the tiny ``groupby("sink")``

@@ -16,7 +16,8 @@ write of two 7 MB shards ran 2 read tasks plus 14 map+write tasks and
 landed 70 files a pass; sized here it runs 2 fused
 ``ReadParquet->…->Write`` tasks and lands 10.
 
-``read_tasks`` keeps Ray's other two terms and drops the floor:
+``ParquetDatasource.read_tasks`` keeps Ray's other two terms and drops
+the floor:
 
     max(2 × cluster CPUs, ⌈estimated in-memory bytes / target_max_block_size⌉)
 
@@ -28,25 +29,27 @@ from file sizes on the read's own filesystem (one ``get_file_info``
 call for the inputs, one listing per directory), times Ray's default
 parquet encoding ratio.
 
-``batch_rows`` sizes the batches a read task yields. Ray's reader
-takes ``min(10_000, (target_max_block_size // 10) ÷ sampled row
-width)`` rows per batch (``PARQUET_READER_ROW_BATCH_SIZE``,
+``ParquetDatasource.batch_size`` sizes the batches a read task
+yields. Ray's reader takes ``min(10_000, (target_max_block_size // 10)
+÷ sampled row width)`` rows per batch
+(``PARQUET_READER_ROW_BATCH_SIZE``,
 ``estimate_default_read_batch_size_rows``): its byte budget is
 12.8 MiB, but the 10k-row cap binds for any row under 1.3 KB. Inside a
 fused task each batch runs the stage chain once and is handed to the
 partitioned write on its own, so a 65k-row transcript shard of
-112-byte rows ran the chain 7 times. ``batch_rows`` keeps the byte
-budget and drops the cap:
+112-byte rows ran the chain 7 times. The planned ``batch_size`` keeps
+the byte budget and drops the cap:
 
     (target_max_block_size // 10) ÷ (on-disk bytes × ENCODING_RATIO ÷ rows)
 
-with the on-disk bytes and footer row counts of the inputs. The same
-shard is then one batch. Memory bound: a batch holds about the budget
-when the data inflates at most ``ENCODING_RATIO``× from disk, the
-assumption Ray's own read-task sizing makes; data that inflates more
-gets batches that much larger. A batch never spans files, and a fused
-read→write task holds all of its read output anyway (see above), so a
-batch never outgrows what its task already holds.
+with the on-disk bytes and footer row counts of the inputs, with or
+without a Ray session. The same shard is then one batch. Memory bound:
+a batch holds about the budget when the data inflates at most
+``ENCODING_RATIO``× from disk, the assumption Ray's own read-task
+sizing makes; data that inflates more gets batches that much larger.
+A batch never spans files, and a fused read→write task holds all of
+its read output anyway (see above), so a batch never outgrows what its
+task already holds.
 
 ``read_parquet`` plans the read on the driver with ``ParquetDatasource``
 and hands it to ``ray.data.read_datasource``. Ray's own
@@ -72,7 +75,7 @@ up to 24 files:
   ``ENCODING_RATIO`` figure, so Ray's ``SetReadParallelismRule`` splits
   blocks exactly as it did for ``ray.data.read_parquet``;
 - a task reads its files one after another with ``use_threads=False``
-  (as Ray's reader does), ``batch_rows`` rows a batch, skips empty
+  (as Ray's reader does), ``batch_size`` rows a batch, skips empty
   batches, and adds hive ``key=value`` directories as string columns,
   as Ray's ``PathPartitionParser`` does (``sink=007`` stays ``"007"``).
 """
@@ -107,8 +110,8 @@ from . import wirefs
 # corpus (14.6 MB in memory, 2.62 MB on disk).
 ENCODING_RATIO = 5
 
-# Rows per read batch when ``batch_rows`` has no answer (no Ray session
-# at planning time, no byte budget, no footer rows): Ray's reader cap
+# Rows per read batch when the byte rule has no answer (no byte budget,
+# or files with zero or unknown rows): Ray's reader cap
 # (PARQUET_READER_ROW_BATCH_SIZE).
 READER_BATCH_ROWS = 10_000
 
@@ -173,35 +176,6 @@ def _list_files(paths, filesystem=None, extensions=("parquet",)):
     return fs, files
 
 
-def _listed_files(paths, filesystem=None, extensions=("parquet",)):
-    """``_list_files``, or None when a path is missing, the filesystem
-    cannot list it, or any size is unknown."""
-    try:
-        fs, files = _list_files(paths, filesystem, extensions)
-    except (OSError, TypeError, ValueError):
-        return None
-    if any(f.size is None for f in files):
-        return None
-    return fs, files
-
-
-def _on_disk_bytes(paths, filesystem=None) -> int | None:
-    """Total on-disk bytes of the parquet files ``paths`` name (see
-    ``_listed_files``)."""
-    found = _listed_files(paths, filesystem)
-    return None if found is None else sum(f.size for f in found[1])
-
-
-def read_tasks(paths, filesystem=None) -> int | None:
-    """Read tasks for ``paths``: max(2 × cluster CPUs, ⌈estimated
-    in-memory bytes / target_max_block_size⌉). None (Ray's default)
-    when Ray is not initialised or a size is unknown."""
-    if not ray.is_initialized():
-        return None
-    on_disk = _on_disk_bytes(paths, filesystem)
-    return None if on_disk is None else _tasks(on_disk)
-
-
 def _tasks(on_disk: int) -> int:
     cpus = int(ray.cluster_resources().get("CPU", 1))
     target = ray.data.DataContext.get_current().target_max_block_size
@@ -211,18 +185,21 @@ def _tasks(on_disk: int) -> int:
 
 def file_tasks(paths, filesystem=None, extensions=None) -> int | None:
     """Read tasks for a whole-file read (``read_binary_files`` over the
-    files ``extensions`` select, as for ``_listed_files``): the
-    ``read_tasks`` rule, but at most one task per file. Ray splits the
-    output of a read given more tasks than files, and the pieces of a
-    one-row file block come out empty and without columns. None (Ray's
-    default) when Ray is not initialised, a size is unknown or no file
-    is found."""
+    files ``extensions`` select, as ``_list_files`` selects them): the
+    ``ParquetDatasource.read_tasks`` rule, but at most one task per
+    file. Ray splits the output of a read given more tasks than files,
+    and the pieces of a one-row file block come out empty and without
+    columns. None (Ray's default) when Ray is not initialised, a path
+    is missing or cannot be listed, a size is unknown or no file is
+    found."""
     if not ray.is_initialized():
         return None
-    found = _listed_files(paths, filesystem, extensions)
-    if not found or not found[1]:
+    try:
+        files = _list_files(paths, filesystem, extensions)[1]
+    except (OSError, TypeError, ValueError):
         return None
-    files = found[1]
+    if not files or any(f.size is None for f in files):
+        return None
     return min(_tasks(sum(f.size for f in files)), len(files))
 
 
@@ -242,25 +219,12 @@ def _footers(fs, paths) -> list:
 def _rows_per_batch(on_disk: int, rows: int) -> int | None:
     """The byte rule: Ray's budget ``target_max_block_size // 10`` ÷
     (``on_disk`` × ``ENCODING_RATIO`` ÷ ``rows``), at least 1; None
-    without a session, a budget or rows."""
+    without a budget or rows. It needs no Ray session, so a read
+    planned before ``ray.init`` keeps the byte bound."""
     target = ray.data.DataContext.get_current().target_max_block_size
-    if not ray.is_initialized() or not target or not rows:
+    if not target or not rows:
         return None
     return max(1, int(target // 10 // (on_disk * ENCODING_RATIO / rows)))
-
-
-def batch_rows(paths, filesystem=None) -> int | None:
-    """Rows per read batch for ``paths``: the ``batch_size`` their
-    ``ParquetDatasource`` plans, ``_rows_per_batch`` over the inputs'
-    on-disk bytes and footer rows. None (the reader then takes
-    ``READER_BATCH_ROWS``) when Ray is not initialised, the budget is
-    unset, a path is missing, or a size or row count is unknown."""
-    if not ray.is_initialized():
-        return None
-    try:
-        return ParquetDatasource(paths, filesystem=filesystem).batch_size
-    except (OSError, TypeError, ValueError):
-        return None
 
 
 def _read_files(fs, paths, columns, partition_columns, batch_size):
@@ -315,8 +279,9 @@ class ParquetDatasource(Datasource):
         self.batch_size = batch_size
 
     def read_tasks(self) -> int | None:
-        """``read_tasks`` for the planned files (None without a session
-        or with a size unknown)."""
+        """Read tasks for the planned files: max(2 × cluster CPUs,
+        ⌈estimated in-memory bytes / target_max_block_size⌉). None
+        (Ray's default) without a Ray session or with a size unknown."""
         if not ray.is_initialized() or self._on_disk is None:
             return None
         return _tasks(self._on_disk)
@@ -364,8 +329,8 @@ def read_parquet(
     batch_size=None,
 ) -> ray.data.Dataset:
     """An engine parquet read: ``ray.data.read_datasource`` over a
-    ``ParquetDatasource``, with ``override_num_blocks`` from
-    ``read_tasks`` and batches of ``batch_rows`` rows. An explicit
+    ``ParquetDatasource``, with ``override_num_blocks`` from its
+    ``read_tasks()`` and batches of its planned ``batch_size``. An explicit
     ``override_num_blocks`` or ``parallelism``, or an explicit
     ``batch_size``, from the caller is left alone."""
     source = ParquetDatasource(

@@ -56,20 +56,19 @@ def read_transcripts(paths, **kwargs) -> ray.data.Dataset:
     The read is ``parquet.read_parquet``: planned on the driver from
     the listed shards and their footers, with no sampling task, so each
     read task carries its footer rows and ``count()`` runs no job.
-    Read tasks come from ``parquet.read_tasks`` (at least 2 × cluster
-    CPUs, more only when the data outgrows ``target_max_block_size``),
-    not Ray's 200-block default: an unsplit read fuses with the stages
-    and the sink write behind it, so ``run_logs_pipeline`` over two
-    shards on one CPU runs 2 fused tasks and lands 10 files a pass,
-    not 70.
+    Read tasks come from ``ParquetDatasource.read_tasks`` (at least
+    2 × cluster CPUs, more only when the data outgrows
+    ``target_max_block_size``), not Ray's 200-block default: an
+    unsplit read fuses with the stages and the sink write behind it, so
+    ``run_logs_pipeline`` over two shards on one CPU runs 2 fused tasks
+    and lands 10 files a pass, not 70.
 
-    Rows per batch come from ``parquet.batch_rows``: Ray's byte budget
-    (``target_max_block_size // 10``, 12.8 MiB) ÷ on-disk bytes ×
-    ``ENCODING_RATIO`` per row, without Ray's 10k-row cap. A 65k-row
-    shard of 112-byte turns is one batch (was 7), so the stage chain
-    runs once per shard. A batch
-    holds about the budget while the data inflates at most
-    ``ENCODING_RATIO``× from disk, and never more than its file."""
+    Rows per batch are the datasource's planned ``batch_size``: Ray's
+    byte budget (``target_max_block_size // 10``, 12.8 MiB) ÷ on-disk
+    bytes × ``ENCODING_RATIO`` per row, without Ray's 10k-row cap. A
+    65k-row shard of 112-byte turns is one batch (was 7), so the stage
+    chain runs once per shard. A batch holds about the budget while the
+    data inflates at most ``ENCODING_RATIO``× from disk, and never more than its file."""
     cols = kwargs.pop("columns", [f.name for f in TRANSCRIPT_SCHEMA])
     return read_parquet(paths, columns=cols, **kwargs)
 

@@ -13,6 +13,7 @@ import sys
 import textwrap
 
 import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -71,7 +72,7 @@ def _want_batch_rows(paths):
 
 def test_one_cpu_two_small_files_give_two(tmp_path, one_cpu, read_spy):
     paths = _small_files(tmp_path)
-    assert parquet.read_tasks(paths) == 2
+    assert parquet.ParquetDatasource(paths).read_tasks() == 2
     parquet.read_parquet(paths, columns=["x"])
     assert read_spy == [
         (paths, {"columns": ["x"], "override_num_blocks": 2,
@@ -79,13 +80,12 @@ def test_one_cpu_two_small_files_give_two(tmp_path, one_cpu, read_spy):
     ]
 
 
-def test_one_cpu_ten_gb_gives_size_term(monkeypatch, one_cpu):
+def test_one_cpu_ten_gb_gives_size_term(one_cpu):
     on_disk = 10 * 10**9
-    monkeypatch.setattr(parquet, "_on_disk_bytes", lambda paths, fs=None: on_disk)
     target = ray.data.DataContext.get_current().target_max_block_size
     want = -(-on_disk * parquet.ENCODING_RATIO // target)
     assert want > 2
-    assert parquet.read_tasks(["/data/big.parquet"]) == want
+    assert parquet._tasks(on_disk) == want
 
 
 def test_explicit_blocks_pass_through(tmp_path, one_cpu, read_spy):
@@ -112,7 +112,9 @@ def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, 
     pq.write_table(pa.table({"x": list(range(10))}), str(d / "g.parquet"))
     (d / "notes.txt").write_bytes(b"x" * 10_000)
     want = os.path.getsize(d / "sink=a" / "f.parquet") + os.path.getsize(d / "g.parquet")
-    assert parquet._on_disk_bytes(str(d)) == want
+    assert parquet.ParquetDatasource(str(d)).estimate_inmemory_data_size() == (
+        want * parquet.ENCODING_RATIO
+    )
     # one target block of in-memory data per 2 on-disk bytes → size term
     monkeypatch.setattr(
         ray.data.DataContext.get_current(), "target_max_block_size",
@@ -130,17 +132,28 @@ def test_directory_sized_from_its_parquet_files(tmp_path, monkeypatch, one_cpu, 
     ]
 
 
-def test_unknown_size_gives_no_override(tmp_path, one_cpu, read_spy):
+def test_unknown_size_gives_no_override(tmp_path, monkeypatch, one_cpu, read_spy):
     missing = [str(tmp_path / "missing.parquet")]
     missing_uri = ["file://" + missing[0]]
-    assert parquet.read_tasks(missing) is None
-    assert parquet.read_tasks(missing_uri) is None
-    assert parquet.batch_rows(missing) is None
-    assert parquet.batch_rows(missing_uri) is None
-    # the read itself reports the missing file, as Ray's reader did
-    with pytest.raises(FileNotFoundError):
-        parquet.read_parquet(missing)
+    # a missing path is reported at planning, as Ray's reader did
+    for paths in (missing, missing_uri):
+        with pytest.raises(FileNotFoundError):
+            parquet.ParquetDatasource(paths)
+        with pytest.raises(FileNotFoundError):
+            parquet.read_parquet(paths)
     assert read_spy == []
+    # a file whose size its filesystem does not report: no sizing
+    paths = _small_files(tmp_path)
+    unsized = [pafs.FileInfo(p, type=pafs.FileType.File) for p in paths]
+    monkeypatch.setattr(
+        parquet, "_list_files", lambda *a, **k: (pafs.LocalFileSystem(), unsized)
+    )
+    source = parquet.ParquetDatasource(paths)
+    assert source.read_tasks() is None
+    assert source.batch_size is None
+    assert source.estimate_inmemory_data_size() is None
+    parquet.read_parquet(paths)
+    assert read_spy == [(paths, {})]
 
 
 def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
@@ -151,16 +164,19 @@ def test_no_ray_session_gives_no_override(tmp_path, monkeypatch, read_spy):
         raise RuntimeError("Ray has not been started yet")
 
     monkeypatch.setattr(parquet.ray, "cluster_resources", no_cluster)
-    assert parquet.read_tasks(paths) is None
-    assert parquet.batch_rows(paths) is None
+    # no read tasks without a cluster to size them to; the batch byte
+    # rule needs no session
+    source = parquet.ParquetDatasource(paths)
+    assert source.read_tasks() is None
+    assert source.batch_size == _want_batch_rows(paths)
     parquet.read_parquet(paths)
-    assert read_spy == [(paths, {})]
+    assert read_spy == [(paths, {"batch_size": _want_batch_rows(paths)})]
 
 
 def test_empty_files_give_no_batch_size(tmp_path):
     p = str(tmp_path / "empty.parquet")
     pq.write_table(pa.table({"x": pa.array([], pa.int64())}), p)
-    assert parquet.batch_rows([p]) is None
+    assert parquet.ParquetDatasource([p]).batch_size is None
 
 
 def _batches_seen(ds):
@@ -180,7 +196,7 @@ def test_narrow_rows_read_one_batch_per_shard(tmp_path):
     paths = _two_shards(tmp_path)
     rows = sorted(pq.read_metadata(p).num_rows for p in paths)
     assert rows[0] > 10_000
-    assert parquet.batch_rows(paths) >= rows[-1]
+    assert parquet.ParquetDatasource(paths).batch_size >= rows[-1]
     sized = parquet.read_parquet(paths, override_num_blocks=len(paths))
     assert [n for n, _ in _batches_seen(sized)] == rows
     default = ray.data.read_parquet(paths, override_num_blocks=len(paths))
@@ -190,7 +206,8 @@ def test_narrow_rows_read_one_batch_per_shard(tmp_path):
 def test_wide_rows_stay_within_ray_byte_budget(tmp_path, monkeypatch):
     """Incompressible 4 KB rows under a 1 MiB block target (a 104 KB
     batch budget): no batch holds more rows than Ray's own byte term,
-    budget ÷ in-memory row width, allows."""
+    budget ÷ in-memory row width, allows, also for a read planned
+    before ``ray.init``."""
     monkeypatch.setattr(
         ray.data.DataContext.get_current(), "target_max_block_size", 1024 * 1024
     )
@@ -198,12 +215,20 @@ def test_wide_rows_stay_within_ray_byte_budget(tmp_path, monkeypatch):
     t = pa.table({"i": list(range(600)), "blob": [os.urandom(2048).hex() for _ in range(600)]})
     pq.write_table(t, p)
     width = t.nbytes / t.num_rows
-    rows = parquet.batch_rows([p])
+    with monkeypatch.context() as no_session:
+        no_session.setattr(parquet.ray, "is_initialized", lambda: False)
+        unsessioned = parquet.ParquetDatasource([p])
+    rows = parquet.ParquetDatasource([p]).batch_size
+    assert unsessioned.batch_size == rows
     assert 1 <= rows <= _budget() // width < 10_000
-    batches = _batches_seen(parquet.read_parquet([p], override_num_blocks=1))
-    assert sum(n for n, _ in batches) == t.num_rows
-    assert max(n for n, _ in batches) <= rows
-    assert max(b for _, b in batches) <= _budget()
+    for ds in (
+        parquet.read_parquet([p], override_num_blocks=1),
+        ray.data.read_datasource(unsessioned, override_num_blocks=1),
+    ):
+        batches = _batches_seen(ds)
+        assert sum(n for n, _ in batches) == t.num_rows
+        assert max(n for n, _ in batches) <= rows
+        assert max(b for _, b in batches) <= _budget()
 
 
 def _two_shards(tmp_path):
@@ -372,8 +397,10 @@ def test_uri_shards_read_like_paths(tmp_path):
     paths."""
     paths = _small_files(tmp_path)
     uris = ["file://" + p for p in paths]
-    assert parquet.read_tasks(uris) == parquet.read_tasks(paths)
-    assert parquet.batch_rows(uris) == parquet.batch_rows(paths)
+    by_uri, by_path = parquet.ParquetDatasource(uris), parquet.ParquetDatasource(paths)
+    assert by_uri.files == by_path.files
+    assert by_uri.read_tasks() == by_path.read_tasks()
+    assert by_uri.batch_size == by_path.batch_size
     got = parquet.read_parquet(uris).to_pandas()
     want = parquet.read_parquet(paths).to_pandas()
     assert sorted(got["x"]) == sorted(want["x"]) == sorted(list(range(100)) * 2)
