@@ -1183,29 +1183,18 @@ def q_distinct_users(sf_dir: str):
 
 def q_obs_counters(sf_dir: str):
     """The obsreport counter surface as a verified table: receiver
-    accepted + per-exporter sent counts, routed through the named
-    MetricsActor (obs_receiver.go:31-45 / obs_exporter.go:24-39 names)."""
-    import uuid
-
+    accepted + per-exporter sent counts (obs_receiver.go:31-45 /
+    obs_exporter.go:24-39 names), built on the driver from one
+    per-sink count pass."""
     import pandas as pd
-    import ray
 
     from opentelemetry_collector_ray.pipelines.logs import sink_counts
     from opentelemetry_collector_ray.state import metrics as m
 
     per_sink = sink_counts(_enriched(sf_dir))
-    # ONE derivation pass: every enriched row is routed exactly once to
-    # its route sink plus once more to 'errors' when level=ERROR — so
-    # receiver-accepted = Σ route-sink counts (routes never collide
-    # with the literal 'errors' sink name).
-    accepted = int(per_sink.loc[per_sink["sink"] != "errors", "n"].sum())
-    actor = m.get_metrics_actor(uuid.uuid4().hex[:8])
-    updates = {m.receiver_accepted(): accepted}
-    for _, r in per_sink.iterrows():
-        updates[m.exporter_sent(str(r["sink"]))] = int(r["n"])
-    ray.get(actor.add_many.remote(updates))
-    snap = ray.get(actor.snapshot.remote())
-    ray.kill(actor)  # run-scoped actor; don't leak one per invocation
+    # receiver-accepted = Σ route-sink counts: every row has one route,
+    # and no role routes to the 'errors' sink
+    snap = m.obsreport_counts(dict(zip(per_sink["sink"], per_sink["n"])))
     return pd.DataFrame(
         {"name": list(snap.keys()), "value": [int(v) for v in snap.values()]}
     )

@@ -30,7 +30,6 @@ processorhelper one-function extension point
 from __future__ import annotations
 
 import functools
-import os
 from collections.abc import Callable, Sequence
 
 import ray.data
@@ -43,15 +42,16 @@ from .config import ConfigError, PipelineConfig, load_config
 class StageChain:
     """One batch callable running ``stages`` in order on each batch.
 
-    With ``run_id`` set (``engine.processorCounters``), it also records
-    the data-plane obsreport counts of each member stage (obs_processor.
-    go:24-33 names): rows out as ``accepted``, rows in minus rows out as
+    With ``counters`` set (a ``state.metrics.MetricsActor`` handle,
+    ``engine.processorCounters``), it also records the data-plane
+    obsreport counts of each member stage (obs_processor.go:24-33
+    names): rows out as ``accepted``, rows in minus rows out as
     ``dropped``, and a ``batch_send_size`` bucket. The whole chain sends
-    ONE fire-and-forget ``add_many`` per block to the run's sharded
-    counter actors (never awaited — no data-plane stall; the actors are
-    num_cpus=0). ``refused`` stays a structural zero in batch mode
-    (backpressure replaces refusal). Without ``run_id`` the chain
-    carries no counting overhead."""
+    ONE ``add_many`` per block and waits for it before returning the
+    block, so every count has landed when the write returns. ``refused``
+    stays a structural zero in batch mode (backpressure replaces
+    refusal). Without ``counters`` the chain carries no counting
+    overhead."""
 
     # batch_send_size histogram bounds (processor/batchprocessor/
     # metrics.go:111-219 idiom: distribution of emitted batch sizes)
@@ -61,15 +61,14 @@ class StageChain:
         self,
         stages: Sequence[Callable],
         names: Sequence[str] = (),
-        run_id: str | None = None,
+        counters=None,
     ):
         self.stages = list(stages)
         self.names = list(names)
-        self.run_id = run_id
-        self._shards = None
+        self.counters = counters
 
     def __call__(self, batch):
-        if self.run_id is None:
+        if self.counters is None:
             for stage in self.stages:
                 batch = stage(batch)
             return batch
@@ -83,14 +82,7 @@ class StageChain:
                 updates[_metrics.processor_dropped(name)] = n_in - n_out
             le = next((str(b) for b in self.SIZE_BOUNDS if n_out <= b), "inf")
             updates[f"processor/{name}/batch_send_size/le_{le}"] = 1
-        if self._shards is None:
-            # SHARDED counter actors (one per ~16 cluster CPUs) merge by
-            # sum at snapshot time, so any add may land on any shard; the
-            # round-robin start varies per worker so shards load evenly
-            self._shards = _metrics.get_metrics_shards(self.run_id)
-            self._rr = os.getpid()
-        self._rr = (self._rr + 1) % len(self._shards)
-        self._shards[self._rr].add_many.remote(updates)
+        ray.get(self.counters.add_many.remote(updates))
         return batch
 
 
@@ -99,13 +91,13 @@ def map_stages(
     stages: Sequence[Callable],
     *,
     names: Sequence[str] = (),
-    run_id: str | None = None,
+    counters=None,
     **ray_remote_args,
 ) -> ray.data.Dataset:
     """Apply ``stages`` as one :class:`StageChain` in one
     ``map_batches`` of plain tasks (operator ``MapBatches(StageChain)``)."""
     return ds.map_batches(
-        StageChain(stages, names, run_id),
+        StageChain(stages, names, counters),
         batch_format="pyarrow",
         **ray_remote_args,
     )
@@ -128,6 +120,7 @@ def _build_parse(opts):
 
 
 def _build_enrich(opts):
+    from ..schema import ERROR_SINK
     from ..stages.enrich import enrich_batch
 
     dims = {
@@ -135,6 +128,15 @@ def _build_enrich(opts):
         for k in ("tool_service", "role_route")
         if opts.get(k) is not None
     }
+    # ERROR rows already fan to the errors sink; a route there too
+    # would land them twice and drop them from receiver-accepted
+    routes = dims.get("role_route", {})
+    bad = sorted(str(r) for r, v in routes.items() if v == ERROR_SINK)
+    if bad:
+        raise ConfigError(
+            f"enrich: role_route sends {bad} to the reserved "
+            f"{ERROR_SINK!r} sink"
+        )
     return functools.partial(enrich_batch, **dims)
 
 
@@ -326,19 +328,11 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
     def _retryable(e: BaseException) -> bool:
         return _is_io_failure(e) or isinstance(e, AttemptTimeout)
 
-    counters_run_id = None
-    counters_actor = None
+    counters = None
     if cfg.gates.get("engine.processorCounters"):
-        import uuid
-
-        counters_run_id = _metrics.shard_run_id(uuid.uuid4().hex[:8])
-        # the DRIVER must own the named actors AND hold their handles
-        # for the whole run: a named (non-detached) actor is destroyed
-        # when its last handle drops, and worker get_if_exists handles
-        # are transient — without this reference every worker would
-        # talk to its own short-lived recreation
-        counters_actor = _metrics.get_metrics_shards(counters_run_id)
-    ds = _apply_stages(source, cfg, counters_run_id=counters_run_id)
+        # one unnamed actor for the run, handed to every stage chain
+        counters = _metrics.MetricsActor.remote()
+    ds = _apply_stages(source, cfg, counters=counters)
     out_dir = cfg.sinks.out_dir
     sizing = (
         {"min_rows_per_file": cfg.sinks.min_rows_per_file}
@@ -388,10 +382,10 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
             is_retryable=_retryable,
         )
         report = {"out_dir": out_dir, "rows": int(n)}
-    if counters_actor is not None:
-        report["processor_counters"] = _metrics.settle_snapshot(
-            counters_actor
-        )
+    if counters is not None:
+        # each chain call waited for its add, so the write's return
+        # means every block's counts are in
+        report["processor_counters"] = ray.get(counters.snapshot.remote())
     if cfg.telemetry is not None:
         # service.telemetry analogue (service/telemetry.go:96): land the
         # run's obsreport counter snapshot over the engine's own OTLP
@@ -400,25 +394,12 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
 
         from ..state.telemetry import export_telemetry
 
-        snap: dict[str, int] = {}
-        if "per_sink" in report:
-            for sink, n in dict(report["per_sink"]).items():
-                snap[_metrics.exporter_sent(str(sink))] = int(n)
-            # every row routes to exactly one non-'errors' sink (ERROR
-            # rows additionally fan to 'errors'), so receiver-accepted
-            # is the non-errors sum — the obs_counters derivation
-            snap[_metrics.receiver_accepted()] = int(
-                sum(
-                    int(n)
-                    for sink, n in dict(report["per_sink"]).items()
-                    if str(sink) != "errors"
-                )
-            )
-        else:
-            snap[_metrics.receiver_accepted()] = int(report["rows"])
-            snap[_metrics.exporter_sent("single")] = int(report["rows"])
-        for k, v in (report.get("processor_counters") or {}).items():
-            snap[str(k)] = int(v)
+        snap = _metrics.obsreport_counts(
+            report["per_sink"]
+            if "per_sink" in report
+            else {"single": report["rows"]}
+        )
+        snap.update(report.get("processor_counters", {}))
         report["telemetry_path"] = export_telemetry(
             snap,
             cfg.telemetry.out_dir,
@@ -450,7 +431,7 @@ def _apply_stages(
     ds: ray.data.Dataset,
     cfg: PipelineConfig,
     *,
-    counters_run_id: str | None = None,
+    counters=None,
 ) -> ray.data.Dataset:
     """Fold the config's stages onto ``ds``: each run of consecutive
     batch stages becomes one :func:`map_stages`; ``rebatch`` reshapes
@@ -471,7 +452,7 @@ def _apply_stages(
             ds,
             stages,
             names=names,
-            run_id=counters_run_id,
+            counters=counters,
             **_stage_remote_args({"memory_mib": mib}),
         )
 

@@ -123,8 +123,8 @@ FEATURE_GATES: dict[str, FeatureGate] = {
         "alpha",
         False,
         "per-stage accepted/dropped obsreport counters on the data "
-        "plane (one fire-and-forget add_many actor RPC per block per "
-        "stage group)",
+        "plane (one acknowledged add_many call to the run's counter "
+        "actor per block per stage group)",
     ),
 }
 

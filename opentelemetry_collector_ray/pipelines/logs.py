@@ -93,10 +93,9 @@ def run_logs_pipeline(
     in a span recorder).
 
     ``counters`` holds this call's obsreport numbers, built on the
-    driver: a named counter actor dies with its last handle at return,
-    so each call would pay a fresh worker-process start for a snapshot
-    of counts the driver already has. ``run_id`` names the run for the
-    caller; no state is keyed on it.
+    driver by ``state.metrics.obsreport_counts`` from counts it already
+    has. ``run_id`` names the run for the caller; no state is keyed on
+    it.
     """
     from ..sources.transcripts import read_transcripts
     from ..state import metrics as m
@@ -113,11 +112,8 @@ def run_logs_pipeline(
     per_sink = write_sinks(exploded, out_dir)
     # answered from the read tasks' footer rows: no Ray Data job runs
     accepted = int(ds.count())
-    counters = {m.receiver_accepted(): accepted}
-    for sink, n in per_sink.items():
-        counters[m.exporter_sent(sink)] = n
     return {
         "accepted": accepted,
         "per_sink": per_sink,
-        "counters": counters,
+        "counters": m.obsreport_counts(per_sink, accepted),
     }

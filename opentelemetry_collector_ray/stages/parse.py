@@ -36,17 +36,14 @@ def parse_batch(batch: pa.Table, pattern: str = GROK_PATTERN) -> pa.Table:
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     extracted = pc.extract_regex(text, pattern)
-    ok = extracted.is_valid()
-    # Child arrays of a StructArray are NOT nulled where the parent is
-    # null — mask them explicitly so parse misses yield null fields.
-    null_str = pa.scalar(None, type=pa.string())
+    # ``flatten()`` nulls each child where the struct is null (a parse
+    # miss); ``.field(i)`` would keep the child's own, non-null slots.
     out = batch
-    for i, field in enumerate(extracted.type):
-        col = pc.if_else(ok, extracted.field(i), null_str)
+    for field, col in zip(extracted.type, extracted.flatten()):
         if field.name == "latency_ms":
             col = pc.cast(col, pa.int64())
         out = out.append_column(field.name, col)
-    return out.append_column("parse_ok", ok)
+    return out.append_column("parse_ok", extracted.is_valid())
 
 
 def json_parse_batch(

@@ -5,8 +5,10 @@ The reference serves its pipeline metrics on a live metrics endpoint
 counters are observable while the collector runs, in a standard wire
 format any metrics backend ingests. The engine's counters were already
 queryable as a table (``obs_counters``); this module closes the export
-half: snapshot the MetricsActor (or the sharded data-plane counters)
-and land the snapshot as an ``ExportMetricsServiceRequest`` through the
+half: the config runner hands it one counter snapshot (the
+``metrics.obsreport_counts`` of the run plus, with
+``engine.processorCounters`` on, its ``MetricsActor`` snapshot), and it
+lands that snapshot as an ``ExportMetricsServiceRequest`` through the
 SAME OTLP metrics codec the data plane uses — so the engine's
 telemetry is consumable by anything that reads OTLP metrics, including
 the engine itself (``read_otlp_metrics_json``/``_pb``).
@@ -26,8 +28,6 @@ unchanged counters.
 from __future__ import annotations
 
 import json
-
-import ray
 
 from ..sources import wirefs
 from ..sources.otlp_json import _COMPRESS_EXT, compress_payload
@@ -199,25 +199,3 @@ def parse_prometheus(text: str) -> dict[str, int]:
             out[_prom_unescape(m.group(1))] = int(m.group(2))
     return out
 
-
-def export_run_telemetry(
-    run_id: str,
-    out_dir: str,
-    ts_unix_nano: int,
-    *,
-    wire: str = "json",
-    shards: list | None = None,
-    **kw,
-) -> str | None:
-    """Snapshot-and-export for a live run: merge the run's counter
-    shards (any add may land on any shard — sum per name) and land the
-    merged snapshot."""
-    from . import metrics as m
-
-    if shards is None:
-        shards = m.get_metrics_shards(run_id)
-    merged: dict[str, int] = {}
-    for snap in ray.get([s.snapshot.remote() for s in shards]):
-        for k, v in snap.items():
-            merged[k] = merged.get(k, 0) + int(v)
-    return export_telemetry(merged, out_dir, ts_unix_nano, wire=wire, **kw)

@@ -558,6 +558,56 @@ def test_processor_counters_gate(corpus, tmp_path):
     assert "processor_counters" not in run_pipeline(spec)
 
 
+def test_processor_counters_exact_across_stage_groups(corpus, tmp_path):
+    """A rebatch splits the stages into two chains over many blocks:
+    every chain waits for its counter add before returning a block, so
+    the report holds each stage's exact counts and one batch_send_size
+    bucket per block it emitted."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.stages.parse import parse_batch
+
+    spec = {
+        "pipeline": {
+            "source": {"type": "parquet", "paths": [corpus]},
+            "stages": [
+                {"type": "rebatch", "name": "rebatch/in", "num_blocks": 12},
+                {"type": "parse"},
+                {
+                    "type": "filter",
+                    "include": [["level", "in", ["WARN", "ERROR"]]],
+                },
+                {"type": "rebatch", "name": "rebatch/mid", "num_blocks": 20},
+                {"type": "condition_filter", "condition": "latency_ms >= 100"},
+            ],
+            "sinks": {"mode": "single", "out_dir": str(tmp_path / "out")},
+            "feature_gates": ["engine.processorCounters"],
+        }
+    }
+    report = run_pipeline(spec)
+    parsed = parse_batch(pq.read_table(corpus))
+    kept = parsed.filter(pc.is_in(parsed["level"], pa.array(["WARN", "ERROR"])))
+    slow = kept.filter(pc.greater_equal(kept["latency_ms"], 100))
+    assert 0 < slow.num_rows < kept.num_rows < parsed.num_rows
+    assert report["rows"] == slow.num_rows
+    want = {
+        "processor/parse/accepted_log_records": parsed.num_rows,
+        "processor/filter/accepted_log_records": kept.num_rows,
+        "processor/filter/dropped_log_records": parsed.num_rows - kept.num_rows,
+        "processor/condition_filter/accepted_log_records": slow.num_rows,
+        "processor/condition_filter/dropped_log_records": kept.num_rows
+        - slow.num_rows,
+    }
+    c = report["processor_counters"]
+    assert {k: v for k, v in c.items() if k.endswith("_log_records")} == want
+    blocks = {"parse": 12, "filter": 12, "condition_filter": 20}
+    for stage, n in blocks.items():
+        prefix = f"processor/{stage}/batch_send_size/"
+        assert sum(v for k, v in c.items() if k.startswith(prefix)) == n
+
+
 def test_condition_filter_stage_in_config_pipeline(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -602,21 +652,41 @@ def test_condition_filter_stage_in_config_pipeline(tmp_path):
     assert kept["action"].to_pylist() == ["boom"]
 
 
-def test_counter_shards_merge(ray_session):
-    """Sharded data-plane counters: adds spread over shards, snapshot
-    merges by sum; the shard count rides the run id to workers."""
-    from opentelemetry_collector_ray.state import metrics as m
+def test_stage_chain_waits_for_its_counter_add():
+    """A counted chain returns a block only after its counter add has
+    been applied, so a snapshot after the write needs no settling."""
+    import time
 
     import ray
 
-    rid = m.shard_run_id("testshards")
-    assert rid.endswith(f"x{m.counter_shard_count()}")
-    shards = m.get_metrics_shards("testmergex3")
-    assert len(shards) == 3
-    for i, a in enumerate(shards):
-        ray.get(a.add_many.remote({"processor/p/accepted_log_records": i + 1}))
-    snap = m.settle_snapshot(shards, attempts=5)
-    assert snap["processor/p/accepted_log_records"] == 6
+    from opentelemetry_collector_ray.fixtures import gen_transcripts
+    from opentelemetry_collector_ray.pipelines.builder import StageChain
+    from opentelemetry_collector_ray.stages.parse import parse_batch
+
+    @ray.remote(num_cpus=0)
+    class SlowCounter:
+        def __init__(self):
+            self.seen = []
+
+        def add_many(self, updates):
+            time.sleep(0.3)
+            self.seen.append(updates)
+
+        def snapshot(self):
+            return self.seen
+
+    counter = SlowCounter.remote()
+    ray.get(counter.snapshot.remote())  # actor started
+    batch = gen_transcripts(5)
+    t0 = time.perf_counter()
+    StageChain([parse_batch], ["parse"], counter)(batch)
+    assert time.perf_counter() - t0 >= 0.3
+    assert ray.get(counter.snapshot.remote()) == [
+        {
+            "processor/parse/accepted_log_records": batch.num_rows,
+            "processor/parse/batch_send_size/le_1024": 1,
+        }
+    ]
 
 
 def test_cli_components_lists_registry():

@@ -37,25 +37,58 @@ def test_generator_deterministic_and_schema():
 
 def test_parse_roundtrip():
     t = gen_transcripts(80)
-    p = parse_batch(t)
-    ok = p.filter(pc.equal(p["parse_ok"], True))
-    miss = p.filter(pc.equal(p["parse_ok"], False))
-    assert ok.num_rows + miss.num_rows == t.num_rows
-    assert 0 < miss.num_rows < t.num_rows * 0.15
-    # reconstruct text from parsed fields == original (lossless grok)
-    rebuilt = [
-        f"[{l}] action={a} latency_ms={n} msg={m}"
-        for l, a, n, m in zip(
-            ok["level"].to_pylist(),
-            ok["action"].to_pylist(),
-            ok["latency_ms"].to_pylist(),
-            ok["msg"].to_pylist(),
-        )
+    s = pa.string()
+    line = "[INFO] action=a latency_ms=3 msg=hi"
+    # (input, expected parse_ok or None for the generated corpus)
+    cases = [
+        (t, None),
+        (t.slice(0, 0), []),
+        (pa.table({"text": pa.array(["nope", "[x] y", ""], s)}), [False] * 3),
+        (pa.table({"text": pa.array([None, None], s)}), [False] * 2),
+        (
+            pa.table(
+                {
+                    "text": pa.chunked_array(
+                        [pa.array([line, None], s), pa.array(["bad", line], s)]
+                    )
+                }
+            ),
+            [True, False, False, True],
+        ),
+        # RE2's `.` and `$` stop at a newline
+        (
+            pa.table(
+                {"text": pa.array([line.replace("=hi", "=\nhi"), line + "\n"])}
+            ),
+            [False, False],
+        ),
     ]
-    assert rebuilt == ok["text"].to_pylist()
-    # misses keep null fields
-    assert miss["level"].null_count == miss.num_rows
-    assert miss["latency_ms"].null_count == miss.num_rows
+    parsed = ["level", "action", "latency_ms", "msg", "parse_ok"]
+    want = [parse_batch(t).schema.field(c) for c in parsed]
+    for batch, expect_ok in cases:
+        p = parse_batch(batch)
+        assert [p.schema.field(c) for c in parsed] == want
+        if expect_ok is None:
+            assert 0 < pc.sum(pc.invert(p["parse_ok"])).as_py() < len(t) * 0.15
+        else:
+            assert p["parse_ok"].to_pylist() == expect_ok
+        ok = p.filter(pc.equal(p["parse_ok"], True))
+        miss = p.filter(pc.equal(p["parse_ok"], False))
+        assert ok.num_rows + miss.num_rows == batch.num_rows
+        # reconstruct text from parsed fields == original (lossless grok)
+        rebuilt = [
+            f"[{l}] action={a} latency_ms={n} msg={m}"
+            for l, a, n, m in zip(
+                ok["level"].to_pylist(),
+                ok["action"].to_pylist(),
+                ok["latency_ms"].to_pylist(),
+                ok["msg"].to_pylist(),
+            )
+        ]
+        assert rebuilt == ok["text"].to_pylist()
+        # misses keep null fields
+        for c in parsed[:-1]:
+            assert miss[c].null_count == miss.num_rows
 
 
 def test_registry_parse_matches_function():
@@ -108,6 +141,39 @@ def test_bad_parse_pattern_fails_at_build_time():
     # no dataset (and no Ray job) is needed to see the failure
     with pytest.raises(ConfigError, match="bad pattern"):
         _apply_stages(None, cfg)
+
+
+def test_enrich_route_to_errors_sink_fails_at_build_time():
+    """ERROR rows already fan to the errors sink: a role routed there
+    too would land its ERROR rows twice."""
+    import pytest
+
+    from opentelemetry_collector_ray.pipelines.builder import (
+        STAGE_REGISTRY,
+        _apply_stages,
+    )
+    from opentelemetry_collector_ray.pipelines.config import (
+        ConfigError,
+        load_config,
+    )
+
+    cfg = load_config(
+        {
+            "pipeline": {
+                "source": {"type": "parquet", "paths": ["in.parquet"]},
+                "stages": [
+                    {"type": "enrich", "role_route": {"user": "errors"}}
+                ],
+                "sinks": {"mode": "route", "out_dir": "out"},
+            }
+        }
+    )
+    with pytest.raises(ConfigError, match="role_route sends \\['user'\\]"):
+        _apply_stages(None, cfg)
+    # any other sink name stays a valid route
+    built = STAGE_REGISTRY["enrich"]({"role_route": {"user": "audit"}})
+    e = built(parse_batch(gen_transcripts(20)))
+    assert "audit" in e["route"].to_pylist()
 
 
 def test_enrich_lookup():

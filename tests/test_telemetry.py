@@ -12,10 +12,8 @@ from opentelemetry_collector_ray.sources.otlp_metrics import (
     read_otlp_metrics_json,
 )
 from opentelemetry_collector_ray.sources.otlp_pb import read_otlp_metrics_pb
-from opentelemetry_collector_ray.state import metrics as m
 from opentelemetry_collector_ray.state.telemetry import (
     AGG_TEMPORALITY_CUMULATIVE,
-    export_run_telemetry,
     export_telemetry,
     telemetry_request_tree,
 )
@@ -157,22 +155,6 @@ def test_tail_run_per_tick_export(ray_session, tmp_path):
     n_rows = ray.data.read_parquet(spool).count()
     assert got["receiver/accepted_log_records"] == n_rows
     assert got["engine/partitions_processed"] == 2
-
-
-def test_export_run_telemetry_merges_shards(ray_session, tmp_path):
-    """Sharded data-plane counters merge by sum before export."""
-    run_id = "teltestx2"
-    shards = m.get_metrics_shards(run_id)
-    assert len(shards) == 2
-    ray.get(shards[0].add_many.remote({"processor/parse/accepted": 7}))
-    ray.get(shards[1].add_many.remote({"processor/parse/accepted": 5}))
-    out = str(tmp_path / "run")
-    export_run_telemetry(run_id, out, TS, shards=shards)
-    flat = read_otlp_metrics_json(out).to_pandas()
-    got = dict(zip(flat["metric_name"], flat["value"].astype(int)))
-    assert got == {"processor/parse/accepted": 12}
-    for s in shards:
-        ray.kill(s)
 
 
 def test_prometheus_wire_roundtrip(tmp_path):
