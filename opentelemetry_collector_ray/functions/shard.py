@@ -66,16 +66,15 @@ def coalesce_for_shuffle(
     dispatch-bound (measured: 64 blocks → 6.5 s vs 16 blocks → 2.7 s
     for the same sf0.1 dedup pipeline); large inputs keep
     ~``block_bytes`` blocks so parallelism tracks data size, never file
-    count."""
+    count. The input is materialized once and sized from its block
+    metadata: ``size_bytes()`` on a lazy plan executes it, and the
+    repartition would then execute it again."""
     import ray as _ray
 
     if cpus is None:
         cpus = int(_ray.cluster_resources().get("CPU", 16))
-    try:
-        nbytes = ds.size_bytes() or 0
-    except Exception:
-        nbytes = 0
-    n = max(16, cpus, -(-nbytes // block_bytes))
+    ds = ds.materialize()
+    n = max(16, cpus, -(-(ds.size_bytes() or 0) // block_bytes))
     return ds.repartition(n)
 
 

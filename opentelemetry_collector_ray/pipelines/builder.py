@@ -329,10 +329,16 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
         return _is_io_failure(e) or isinstance(e, AttemptTimeout)
 
     counters = None
-    if cfg.gates.get("engine.processorCounters"):
-        # one unnamed actor for the run, handed to every stage chain
-        counters = _metrics.MetricsActor.remote()
-    ds = _apply_stages(source, cfg, counters=counters)
+
+    def staged() -> ray.data.Dataset:
+        # built per attempt: a retried write re-executes the whole
+        # dataset, so each attempt counts into a fresh unnamed actor,
+        # handed to every stage chain, and the report reads the last one
+        nonlocal counters
+        if cfg.gates.get("engine.processorCounters"):
+            counters = _metrics.MetricsActor.remote()
+        return _apply_stages(source, cfg, counters=counters)
+
     out_dir = cfg.sinks.out_dir
     sizing = (
         {"min_rows_per_file": cfg.sinks.min_rows_per_file}
@@ -361,7 +367,6 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
     if cfg.sinks.mode == "route":
         from ..stages.route import explode_sinks_batch
 
-        exploded = ds.map_batches(explode_sinks_batch, batch_format="pyarrow")
         sort_within = (
             ("conv_id", "turn_idx")
             if cfg.gates.get("engine.sortedSinkWrites")
@@ -369,7 +374,10 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
         )
         per_sink = retry_call(
             lambda: write_sinks(
-                exploded, out_dir, sort_within=sort_within, **sizing
+                staged().map_batches(explode_sinks_batch, batch_format="pyarrow"),
+                out_dir,
+                sort_within=sort_within,
+                **sizing,
             ),
             policy=policy,
             is_retryable=_retryable,
@@ -377,7 +385,7 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
         report = {"out_dir": out_dir, "per_sink": per_sink}
     else:
         n = retry_call(
-            lambda: atomic_write_parquet(ds, out_dir, **sizing),
+            lambda: atomic_write_parquet(staged(), out_dir, **sizing),
             policy=policy,
             is_retryable=_retryable,
         )

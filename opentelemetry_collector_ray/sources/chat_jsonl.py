@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from . import wirefs
-from .otlp_json import _NdjsonWriter, read_otlp_json
+from .otlp_json import RequestFileWriter, read_otlp_json
 
 _MESSAGE = pa.struct(
     [pa.field("role", pa.string()), pa.field("content", pa.string())]
@@ -129,11 +129,11 @@ def write_chat_jsonl(
     nested = ds.map_batches(
         nest_chat_batch, batch_format="pyarrow", batch_size=None
     )
-    # the OTLP NDJSON writer, re-skinned: same one-json.dumps-per-line
-    # sink (null message content is omitted on the wire like any unset
-    # proto3 field and reads back as null)
+    # the OTLP request-file writer, re-skinned: same one-json.dumps-per-
+    # line sink (null message content is omitted on the wire like any
+    # unset proto3 field and reads back as null)
     written = nested.map_batches(
-        _NdjsonWriter(dir_path, prefix="chat", suffix=".jsonl", filesystem=fs),
+        RequestFileWriter(dir_path, prefix="chat", suffix=".jsonl", filesystem=fs),
         batch_format="pyarrow",
     ).sum("rows")
     return int(written or 0)

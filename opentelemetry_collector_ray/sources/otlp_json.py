@@ -12,11 +12,14 @@ holds what every signal shares: ``Message`` (the one declaration of
 each OTLP message, from which ``arrow_type`` derives the typed tree and
 ``otlp_pb`` the protobuf descriptors), ``request_message`` (the
 resource → scope → item shape of every Export request),
-``walk_requests`` (the top of every flatten), ``write_requests``
-(nest → render → land; NDJSON here, framed protobuf for ``otlp_pb``),
-``decode_json`` (OTLP/JSON bytes parsed against the typed tree, never
-inferred — the listener's JSON bodies use it too) and
-``read_otlp_json`` (every NDJSON file, plain or gzip/zstd, through
+``walk_requests`` (the top of every flatten) and its inverse
+``nest_requests`` (the envelope of every nest, over one
+``transcript_frame`` with its ``scope_starts``, ``turn_ids`` and
+``identity_attrs``), ``write_requests`` (nest → render → land through
+one ``RequestFileWriter``: NDJSON here, framed protobuf for
+``otlp_pb``), ``decode_json`` (OTLP/JSON bytes parsed against the
+typed tree, never inferred — the listener's JSON bodies use it too)
+and ``read_otlp_json`` (every NDJSON file, plain or gzip/zstd, through
 ``decode_json``). The per-signal writers and readers here and in
 ``otlp_traces`` / ``otlp_metrics`` are ``functools.partial``s of them.
 
@@ -221,12 +224,12 @@ def _require_non_null_keys(
                 )
 
 
-def nest_otlp_batch(t: pa.Table) -> pa.Table:
-    """Transcript rows → ONE ExportLogsServiceRequest row (the marshal
-    half, plog/json.go MarshalLogs): records grouped into scopes by
-    role, scopes into resources by derived service.name."""
+def transcript_frame(t: pa.Table) -> pd.DataFrame:
+    """The frame every nest starts from: transcript rows (non-null
+    identity keys) with their derived service.name, sorted by
+    (service, role, conv_id, turn_idx), so that every resource
+    (service) and every scope (service, role) is one run of rows."""
     _require_non_null_keys(t)
-    n = len(t)
     df = pd.DataFrame(
         {
             "service": pd.Series(_str(t["tool"])).fillna("").map(
@@ -240,102 +243,91 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
             "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False),
         }
     )
-    df = df.sort_values(
+    return df.sort_values(
         ["service", "role", "conv_id", "turn_idx"], kind="mergesort"
     ).reset_index(drop=True)
+
+
+def scope_starts(df: pd.DataFrame) -> np.ndarray:
+    """The first row of every scope of a ``transcript_frame``: the
+    change points of (service, role)."""
+    if not len(df):
+        return np.empty(0, np.int64)
     svc = df["service"].to_numpy(dtype=object)
     rol = df["role"].to_numpy(dtype=object)
+    return np.flatnonzero(
+        np.concatenate(([True], (svc[1:] != svc[:-1]) | (rol[1:] != rol[:-1])))
+    )
 
-    # ---- logRecords (one per row, in sorted order)
-    lvl = pc.extract_regex(
-        pa.array(df["text"].to_numpy(dtype=object), type=pa.string()),
-        r"^\[(?P<lvl>[A-Z]+)\]",
-    )
-    # .field() ignores the parent struct's null mask (a non-matching
-    # extract_regex row surfaces as "" in the child) — re-mask so
-    # unparsed rows are NULL and both wire codecs omit the field.
-    sev_text = pc.if_else(
-        pc.is_valid(lvl), lvl.field("lvl"), pa.scalar(None, pa.string())
-    )
-    sev_num = pa.array(
-        pd.Series(sev_text.to_numpy(zero_copy_only=False)).map(SEVERITY_NUMBER),
-        type=pa.int64(),
-    )
-    time_ns = pa.array(
-        _i64_strings(df["ts_us"].to_numpy(), scale=1000), type=pa.string()
-    )
-    # log-trace correlation (logs.proto LogRecord.trace_id/span_id;
-    # the logs data model's RequestContext section): every record points
-    # at the span of its own turn — the SAME md5 scheme as the traces
-    # codec, so a correlated trace lookup round-trips across signals.
-    # Hex on the JSON wire, raw bytes on the binary wire.
+
+def span_hex(conv: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """The span ID of turn ``turn`` of conversation ``conv``:
+    md5(conv_id ':' turn_idx)[:16]."""
+    keys = np.char.add(np.char.add(conv.astype("U"), ":"), turn.astype("U"))
+    return _md5_hex(keys.astype(object), 16)
+
+
+def turn_ids(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(trace, span) hex IDs of every row of a ``transcript_frame``:
+    trace = md5(conv_id), hashed once per unique conversation, and the
+    turn's ``span_hex``. Spans carry them and every log record points
+    at its turn's span (log-trace correlation), so a correlated lookup
+    round-trips across signals."""
     conv_codes, conv_uniq = pd.factorize(df["conv_id"])
-    trace_hex = _md5_hex(np.asarray(conv_uniq, dtype=object), 32)[conv_codes]
-    span_keys = np.char.add(
-        np.char.add(df["conv_id"].to_numpy(dtype=object).astype("U"), ":"),
-        df["turn_idx"].to_numpy().astype("U"),
-    ).astype(object)
-    span_hex = _md5_hex(span_keys, 16)
-    body = pa.StructArray.from_arrays(
-        [pa.array(df["text"].to_numpy(dtype=object), type=pa.string())],
-        names=["stringValue"],
-    )
-    # record attributes: conv.id / turn.index / tool — 3 entries per record
+    trace = _md5_hex(np.asarray(conv_uniq, dtype=object), 32)[conv_codes]
+    span = span_hex(df["conv_id"].to_numpy(dtype=object), df["turn_idx"].to_numpy())
+    return trace, span
+
+
+def identity_attrs(
+    conv: np.ndarray, turn_str: np.ndarray, tool: np.ndarray
+) -> pa.ListArray:
+    """The conv.id / turn.index / tool attribute list of every record,
+    span and number datapoint (``record_attrs`` reads it back); the
+    turn index is an intValue, so its decimal string."""
+    n = len(conv)
     keys = np.empty(3 * n, dtype=object)
     svals = np.empty(3 * n, dtype=object)
     ivals = np.empty(3 * n, dtype=object)
     keys[0::3], keys[1::3], keys[2::3] = "conv.id", "turn.index", "tool"
-    svals[0::3] = df["conv_id"].to_numpy(dtype=object)
-    svals[1::3] = None
-    svals[2::3] = df["tool"].to_numpy(dtype=object)
-    ivals[0::3] = None
-    ivals[1::3] = df["turn_idx"].to_numpy().astype("U").astype(object)
-    ivals[2::3] = None
-    rec_attrs = _kv_list(keys, svals, ivals, np.arange(0, 3 * n + 3, 3))
-    records = pa.StructArray.from_arrays(
-        [
-            time_ns,
-            sev_num,
-            # left NULL when the text has no [LEVEL] prefix: proto3
-            # omits unset fields, and the binary wire (otlp_pb) cannot
-            # distinguish "" from unset — both codecs omit it.
-            sev_text,
-            body,
-            rec_attrs,
-            pa.array(trace_hex, type=pa.string()),
-            pa.array(span_hex, type=pa.string()),
-        ],
-        fields=list(arrow_type(_LOG_RECORD)),
-    )
+    svals[0::3], svals[1::3], svals[2::3] = conv, None, tool
+    ivals[0::3], ivals[1::3], ivals[2::3] = None, turn_str, None
+    return _kv_list(keys, svals, ivals, np.arange(0, 3 * n + 3, 3))
 
-    # ---- scope groups: change points of (service, role)
-    if n:
-        sc_change = np.flatnonzero(
-            np.concatenate(
-                ([True], (svc[1:] != svc[:-1]) | (rol[1:] != rol[:-1]))
-            )
-        )
-    else:
-        sc_change = np.empty(0, np.int64)
-    sc_off = np.append(sc_change, n).astype(np.int32)
-    log_records = pa.ListArray.from_arrays(pa.array(sc_off, type=pa.int32()), records)
-    n_scope = len(sc_change)
+
+def row_lists(
+    df: pd.DataFrame, starts: np.ndarray, values: pa.Array
+) -> pa.ListArray:
+    """One value per row of ``df`` → the list of every scope."""
+    offsets = np.append(starts, len(df)).astype(np.int32)
+    return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), values)
+
+
+def nest_requests(
+    df: pd.DataFrame, starts: np.ndarray, items: pa.ListArray, names: tuple
+) -> pa.Table:
+    """The envelope of every nest, the inverse of ``walk_requests``:
+    ONE request row whose ``names`` = (root, scopes, items) fields hold
+    a resource per service.name, each with a scope per role
+    (``otelray.<role>`` v1.0) starting at the ``starts`` rows of the
+    sorted ``df`` and holding that scope's list of ``items``."""
+    root, scopes_field, items_field = names
+    svc = df["service"].to_numpy(dtype=object)
+    rol = df["role"].to_numpy(dtype=object)
+    n_scope = len(starts)
     scope = pa.StructArray.from_arrays(
         [
             pa.array(
-                np.char.add("otelray.", rol[sc_change].astype("U")),
-                type=pa.string(),
+                np.char.add("otelray.", rol[starts].astype("U")), type=pa.string()
             ),
             pa.array(["1.0"] * n_scope, type=pa.string()),
         ],
         names=["name", "version"],
     )
-    scopes = pa.StructArray.from_arrays(
-        [scope, log_records], names=["scope", "logRecords"]
-    )
+    scopes = pa.StructArray.from_arrays([scope, items], names=["scope", items_field])
 
-    # ---- resource groups: change points of service over scope groups
-    svc_per_scope = svc[sc_change]
+    # resources: change points of service over the scopes
+    svc_per_scope = svc[starts]
     if n_scope:
         rs_change = np.flatnonzero(
             np.concatenate(([True], svc_per_scope[1:] != svc_per_scope[:-1]))
@@ -343,7 +335,7 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
     else:
         rs_change = np.empty(0, np.int64)
     rs_off = np.append(rs_change, n_scope).astype(np.int32)
-    scope_logs = pa.ListArray.from_arrays(pa.array(rs_off, type=pa.int32()), scopes)
+    scope_lists = pa.ListArray.from_arrays(pa.array(rs_off, type=pa.int32()), scopes)
     n_res = len(rs_change)
     res_svc = svc_per_scope[rs_change] if n_scope else np.empty(0, object)
     res_attrs = _kv_list(
@@ -354,12 +346,64 @@ def nest_otlp_batch(t: pa.Table) -> pa.Table:
     )
     resource = pa.StructArray.from_arrays([res_attrs], names=["attributes"])
     res_entries = pa.StructArray.from_arrays(
-        [resource, scope_logs], names=["resource", "scopeLogs"]
+        [resource, scope_lists], names=["resource", scopes_field]
     )
-    resource_logs = pa.ListArray.from_arrays(
+    resources = pa.ListArray.from_arrays(
         pa.array([0, n_res], type=pa.int32()), res_entries
     )
-    return pa.table({"resourceLogs": resource_logs})
+    return pa.table({root: resources})
+
+
+def nest_otlp_batch(t: pa.Table) -> pa.Table:
+    """Transcript rows → ONE ExportLogsServiceRequest row (the marshal
+    half, plog/json.go MarshalLogs): a log record per row, in the
+    ``nest_requests`` envelope."""
+    df = transcript_frame(t)
+    text = pa.array(df["text"].to_numpy(dtype=object), type=pa.string())
+    lvl = pc.extract_regex(text, r"^\[(?P<lvl>[A-Z]+)\]")
+    # .field() ignores the parent struct's null mask (a non-matching
+    # extract_regex row surfaces as "" in the child) — re-mask so
+    # unparsed rows are NULL and both wire codecs omit the field.
+    sev_text = pc.if_else(
+        pc.is_valid(lvl), lvl.field("lvl"), pa.scalar(None, pa.string())
+    )
+    sev_num = pa.array(
+        pd.Series(sev_text.to_numpy(zero_copy_only=False)).map(SEVERITY_NUMBER),
+        type=pa.int64(),
+    )
+    # log-trace correlation (logs.proto LogRecord.trace_id/span_id; the
+    # logs data model's RequestContext section): hex on the JSON wire,
+    # raw bytes on the binary wire
+    trace_hex, span = turn_ids(df)
+    turn_str = df["turn_idx"].to_numpy().astype("U").astype(object)
+    records = pa.StructArray.from_arrays(
+        [
+            pa.array(
+                _i64_strings(df["ts_us"].to_numpy(), scale=1000), type=pa.string()
+            ),
+            sev_num,
+            # left NULL when the text has no [LEVEL] prefix: proto3
+            # omits unset fields, and the binary wire (otlp_pb) cannot
+            # distinguish "" from unset — both codecs omit it.
+            sev_text,
+            pa.StructArray.from_arrays([text], names=["stringValue"]),
+            identity_attrs(
+                df["conv_id"].to_numpy(dtype=object),
+                turn_str,
+                df["tool"].to_numpy(dtype=object),
+            ),
+            pa.array(trace_hex, type=pa.string()),
+            pa.array(span, type=pa.string()),
+        ],
+        fields=list(arrow_type(_LOG_RECORD)),
+    )
+    starts = scope_starts(df)
+    return nest_requests(
+        df,
+        starts,
+        row_lists(df, starts, records),
+        ("resourceLogs", "scopeLogs", "logRecords"),
+    )
 
 
 def _attr_first(kvlist: pa.ListArray, key: str, field: str) -> np.ndarray:
@@ -493,47 +537,66 @@ def decompress_payload(data: bytes) -> bytes:
     return data
 
 
-class _NdjsonWriter:
-    """Render each request row to one canonical OTLP JSON line and land
-    one NDJSON file per writer batch (the sink side of MarshalLogs) —
-    k requests frame naturally as k lines. One ``json.dumps`` per
-    REQUEST, not per record. Files land through ``wirefs``: any
-    pyarrow filesystem, worker-side mkdir, atomic tmp+rename publish,
-    content-addressed names (retry-idempotent)."""
+def render_ndjson(requests: list) -> bytes:
+    """Request trees → one canonical OTLP/JSON line each (null fields
+    omitted, the proto3 JSON wire form): k requests frame naturally as
+    k lines. One ``json.dumps`` per REQUEST, not per record."""
+    import json
+
+    return "".join(
+        json.dumps(_strip_nulls(r), separators=(",", ":")) + "\n" for r in requests
+    ).encode()
+
+
+def land_payload(fs, dir_path: str, payload: bytes, compression, prefix, suffix) -> str:
+    """Wire-compress ``payload`` and land it atomically in ``dir_path``
+    under its content-addressed ``{prefix}-{md5}{suffix}[.gz|.zst]``
+    name (``wirefs``: a retried batch lands the same name). Returns the
+    landed path."""
+    payload = compress_payload(payload, compression)
+    ext = suffix + _COMPRESS_EXT.get(compression or "", "")
+    name = wirefs.content_name(prefix, payload, ext)
+    return wirefs.atomic_write(fs, dir_path, name, payload)
+
+
+class RequestFileWriter:
+    """The request-file sink of both wires (the sink side of
+    Marshal*): each writer batch of request rows is rendered into ONE
+    payload — ``render_ndjson`` lines by default, framed protobuf with
+    ``otlp_pb.render_pb`` — and landed by ``land_payload`` on any
+    pyarrow filesystem, the directory made once per writer on the
+    worker. A batch without requests lands nothing."""
 
     def __init__(
         self,
         out_dir: str,
         compression: str | None = None,
         *,
+        render=render_ndjson,
         prefix: str = "otlp",
         suffix: str = ".json",
         filesystem=None,
     ):
         self.out_dir = out_dir
         self.compression = compression
+        self.render = render
         self.prefix = prefix
-        self.ext = suffix + _COMPRESS_EXT.get(compression or "", "")
+        self.suffix = suffix
         self.filesystem = filesystem
         self._dir_ready = False
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import json
-
-        fs, dir_path = wirefs.resolve_fs(self.out_dir, self.filesystem)
-        if not self._dir_ready:
-            wirefs.ensure_dir(fs, dir_path)
-            self._dir_ready = True
-        lines = [
-            json.dumps(_strip_nulls(row), separators=(",", ":"))
-            for row in t.to_pylist()
-        ]
-        payload = compress_payload(
-            ("\n".join(lines) + "\n").encode(), self.compression
-        )
-        name = wirefs.content_name(self.prefix, payload, self.ext)
-        wirefs.atomic_write(fs, dir_path, name, payload)
-        return pa.table({"rows": pa.array([len(lines)], type=pa.int64())})
+        requests = t.to_pylist()
+        if requests:
+            fs, dir_path = wirefs.resolve_fs(self.out_dir, self.filesystem)
+            if not self._dir_ready:
+                wirefs.ensure_dir(fs, dir_path)
+                self._dir_ready = True
+            payload = self.render(requests)
+            land_payload(
+                fs, dir_path, payload, self.compression, self.prefix, self.suffix
+            )
+        return pa.table({"rows": pa.array([len(requests)], type=pa.int64())})
 
 
 # One Export() request per input batch: cap the batch size so request
@@ -550,7 +613,7 @@ def write_requests(
     rows_per_request: int | None = None,
     *,
     nest,
-    writer=_NdjsonWriter,
+    writer=RequestFileWriter,
     requests_per_file: int | None = None,
     filesystem=None,
     storage_options: dict | None = None,
@@ -558,10 +621,10 @@ def write_requests(
 ) -> int:
     """Marshal, for every signal on both wires: ``nest`` turns each
     ``rows_per_request`` input rows into one Export request row,
-    ``writer(dir, compression, filesystem=fs)`` renders each
-    ``requests_per_file`` request rows into one file — NDJSON here (null
-    fields omitted, the proto3 JSON wire form), framed protobuf with
-    ``otlp_pb._PbWriter`` — optionally wire-compressed (gzip/zstd).
+    ``writer(dir, compression, filesystem=fs)`` lands each
+    ``requests_per_file`` request rows as one file — a
+    ``RequestFileWriter``: NDJSON by default, framed protobuf for
+    ``otlp_pb`` — optionally wire-compressed (gzip/zstd).
     ``out_dir`` may be a local path or a filesystem URI (s3://…); a
     non-empty existing dir is replaced, never appended to. Returns the
     number of requests written."""

@@ -4,9 +4,12 @@ The reference's metrics codec round-trips ``resourceMetrics[] >
 scopeMetrics[] > metrics[] > {gauge|sum|...}.dataPoints[]``
 (pdata/pmetric/json.go:27-49, pdata/pmetric/pb.go:24-44) — one level
 deeper than logs/traces because Metric carries a oneof ``data``. This
-module covers the two NumberDataPoint shapes (Gauge and monotonic
-DELTA Sum); the histogram/summary table forms already exist as
-first-class operators (signals.py latency_histogram / summary_metrics).
+module covers all five branches: the two NumberDataPoint shapes (Gauge
+and monotonic DELTA Sum), Histogram, ExponentialHistogram and Summary.
+Its nest builds only each scope's metric entries; the sorted frame,
+the resource → scope grouping and the conv.id / turn.index / tool
+datapoint attributes are the shared ``otlp_json`` envelope
+(``transcript_frame``, ``nest_requests``, ``identity_attrs``).
 
 Deterministic transcript mapping (mirrored by the
 ``otlp_metrics_flatten`` oracle):
@@ -29,24 +32,25 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import DIM_TOOL_SERVICE
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
     KEY_VALUE,
     Message,
-    _require_non_null_keys,
     _attr_first,
     _i64_strings,
     _kv_list,
-    _str,
     arrow_type,
+    identity_attrs,
+    nest_requests,
     read_otlp_json,
     record_attrs,
     request_message,
+    row_lists,
+    scope_starts,
+    transcript_frame,
     walk_requests,
     with_context,
     write_requests,
@@ -151,57 +155,15 @@ _RESOURCE_METRICS = _REQUEST.field("resourceMetrics").type
 AGG_TEMPORALITY_DELTA = 1  # metrics.proto AggregationTemporality
 
 
-def _dp_struct(
-    conv: np.ndarray, turn_str: np.ndarray, tool: np.ndarray,
-    time_ns: np.ndarray, as_int: np.ndarray,
-) -> pa.StructArray:
-    n = len(conv)
-    keys = np.empty(3 * n, dtype=object)
-    svals = np.empty(3 * n, dtype=object)
-    ivals = np.empty(3 * n, dtype=object)
-    keys[0::3], keys[1::3], keys[2::3] = "conv.id", "turn.index", "tool"
-    svals[0::3] = conv
-    svals[1::3] = None
-    svals[2::3] = tool
-    ivals[0::3] = None
-    ivals[1::3] = turn_str
-    ivals[2::3] = None
-    attrs = _kv_list(keys, svals, ivals, np.arange(0, 3 * n + 3, 3))
-    return pa.StructArray.from_arrays(
-        [
-            attrs,
-            pa.array(time_ns, type=pa.string()),
-            pa.array(as_int, type=pa.string()),
-        ],
-        fields=list(_DP),
-    )
-
-
 def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     """Transcript rows → ONE ExportMetricsServiceRequest row (the
-    marshal half, pmetric/json.go MarshalMetrics): per scope group a
-    Gauge metric (parsed-turn latencies) and a Sum metric (turn
-    counts)."""
-    _require_non_null_keys(t)
-    n = len(t)
-    df = pd.DataFrame(
-        {
-            "service": pd.Series(_str(t["tool"])).fillna("").map(
-                lambda x: DIM_TOOL_SERVICE.get(x, "unknown")
-            ),
-            "role": _str(t["role"]),
-            "conv_id": _str(t["conv_id"]),
-            "turn_idx": t["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64),
-            "tool": _str(t["tool"]),
-            "text": _str(t["text"]),
-            "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False),
-        }
-    )
-    df = df.sort_values(
-        ["service", "role", "conv_id", "turn_idx"], kind="mergesort"
-    ).reset_index(drop=True)
-    svc = df["service"].to_numpy(dtype=object)
-    rol = df["role"].to_numpy(dtype=object)
+    marshal half, pmetric/json.go MarshalMetrics): in the
+    ``nest_requests`` envelope, every scope lists one metric per branch
+    — a Gauge of parsed-turn latencies, a Sum of turn counts, and the
+    Histogram, ExponentialHistogram and Summary of the latencies per
+    conversation."""
+    df = transcript_frame(t)
+    n = len(df)
     conv = df["conv_id"].to_numpy(dtype=object)
     turn_str = df["turn_idx"].to_numpy().astype("U").astype(object)
     tool = df["tool"].to_numpy(dtype=object)
@@ -217,46 +179,37 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
         dtype=object,
     )
 
-    # ---- scope groups: change points of (service, role)
-    if n:
-        change = np.concatenate(
-            ([True], (svc[1:] != svc[:-1]) | (rol[1:] != rol[:-1]))
+    starts = scope_starts(df)
+    n_scope = len(starts)
+    scope_ids = np.repeat(np.arange(n_scope), np.diff(np.append(starts, n)))
+    delta = pa.array(
+        np.full(n_scope, AGG_TEMPORALITY_DELTA, dtype=np.int64), type=pa.int64()
+    )
+
+    def number_points(rows: np.ndarray, as_int: np.ndarray) -> pa.StructArray:
+        return pa.StructArray.from_arrays(
+            [
+                identity_attrs(conv[rows], turn_str[rows], tool[rows]),
+                pa.array(time_ns[rows], type=pa.string()),
+                pa.array(as_int, type=pa.string()),
+            ],
+            fields=list(_DP),
         )
-        sc_change = np.flatnonzero(change)
-        scope_ids = np.cumsum(change) - 1
-    else:
-        sc_change = np.empty(0, np.int64)
-        scope_ids = np.empty(0, np.int64)
-    n_scope = len(sc_change)
-    bounds = np.arange(n_scope + 1)
 
     # gauge datapoints: parsed rows only, grouped into their scope
     g_rows = np.flatnonzero(ok_np)
-    gauge_dp = _dp_struct(
-        conv[g_rows], turn_str[g_rows], tool[g_rows],
-        time_ns[g_rows], latency_str[g_rows],
+    g_off = np.searchsorted(scope_ids[g_rows], np.arange(n_scope + 1))
+    gauge_dps = pa.ListArray.from_arrays(
+        pa.array(g_off.astype(np.int32), type=pa.int32()),
+        number_points(g_rows, latency_str[g_rows]),
     )
-    g_off = np.searchsorted(scope_ids[g_rows], bounds).astype(np.int32)
-    gauge_dps = pa.ListArray.from_arrays(pa.array(g_off, type=pa.int32()), gauge_dp)
-
     # sum datapoints: every row, asInt = 1
-    sum_dp = _dp_struct(
-        conv, turn_str, tool, time_ns, np.full(n, "1", dtype=object)
+    sum_dps = row_lists(
+        df, starts, number_points(np.arange(n), np.full(n, "1", dtype=object))
     )
-    s_off = np.append(sc_change, n).astype(np.int32)
-    sum_dps = pa.ListArray.from_arrays(pa.array(s_off, type=pa.int32()), sum_dp)
-
     gauge_struct = pa.StructArray.from_arrays([gauge_dps], fields=list(_GAUGE))
     sum_struct = pa.StructArray.from_arrays(
-        [
-            sum_dps,
-            pa.array(
-                np.full(n_scope, AGG_TEMPORALITY_DELTA, dtype=np.int64),
-                type=pa.int64(),
-            ),
-            pa.array(np.ones(n_scope, dtype=bool)),
-        ],
-        fields=list(_SUM),
+        [sum_dps, delta, pa.array(np.ones(n_scope, dtype=bool))], fields=list(_SUM)
     )
 
     # histogram datapoints: one per (scope, conversation) over PARSED
@@ -280,14 +233,9 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
         h_start = np.empty(0, np.int64)
     n_h = len(h_start)
     h_counts = np.diff(np.append(h_start, len(g_rows)))
-    h_sums = (
-        np.add.reduceat(lat_i, h_start) if n_h else np.empty(0, np.int64)
-    )
-    h_mins = (
-        np.minimum.reduceat(lat_i, h_start) if n_h else np.empty(0, np.int64)
-    )
-    h_maxs = (
-        np.maximum.reduceat(lat_i, h_start) if n_h else np.empty(0, np.int64)
+    h_sums, h_mins, h_maxs = (
+        f.reduceat(lat_i, h_start) if n_h else np.empty(0, np.int64)
+        for f in (np.add, np.minimum, np.maximum)
     )
     nb = len(HIST_BOUNDS) + 1
     # OTLP bucket i counts values <= explicit_bounds[i] (last = +inf)
@@ -307,17 +255,20 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
         ),
         pa.array(np.tile(np.asarray(HIST_BOUNDS), n_h), type=pa.float64()),
     )
+    # the histogram-like points carry the conversation only
     h_attrs = _kv_list(
         np.full(n_h, "conv.id", dtype=object),
         np.asarray(p_conv[h_start], dtype=object),
         np.full(n_h, None, dtype=object),
         np.arange(n_h + 1),
     )
+    h_time = pa.array(time_ns[g_rows][h_start], type=pa.string())
+    h_count = pa.array(h_counts.astype("U"), type=pa.string())
     hdp = pa.StructArray.from_arrays(
         [
             h_attrs,
-            pa.array(time_ns[g_rows][h_start], type=pa.string()),
-            pa.array(h_counts.astype("U"), type=pa.string()),
+            h_time,
+            h_count,
             pa.array(h_sums.astype(np.float64), type=pa.float64()),
             bucket_counts,
             bounds,
@@ -326,20 +277,12 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
         ],
         fields=list(_HDP),
     )
-    h_off = np.searchsorted(
-        p_scope[h_start] if n_h else np.empty(0, np.int64),
-        np.arange(n_scope + 1),
-    ).astype(np.int32)
-    hist_dps = pa.ListArray.from_arrays(pa.array(h_off, type=pa.int32()), hdp)
+    h_off = pa.array(
+        np.searchsorted(p_scope[h_start], np.arange(n_scope + 1)).astype(np.int32),
+        type=pa.int32(),
+    )
     hist_struct = pa.StructArray.from_arrays(
-        [
-            hist_dps,
-            pa.array(
-                np.full(n_scope, AGG_TEMPORALITY_DELTA, dtype=np.int64),
-                type=pa.int64(),
-            ),
-        ],
-        fields=list(_HIST),
+        [pa.ListArray.from_arrays(h_off, hdp), delta], fields=list(_HIST)
     )
 
     # exponential-histogram datapoints: same (scope, conv) groups, scale
@@ -360,10 +303,7 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
         mins = np.minimum.reduceat(eidx, gstarts)
         maxs = np.maximum.reduceat(eidx, gstarts)
     else:
-        gstarts = np.empty(0, np.int64)
-        gids = np.empty(0, np.int64)
-        mins = np.empty(0, np.int64)
-        maxs = np.empty(0, np.int64)
+        gids = mins = maxs = np.empty(0, np.int64)
     off = np.zeros(n_h, dtype=np.int64)
     width = np.zeros(n_h, dtype=np.int64)
     off[gids] = mins
@@ -384,24 +324,16 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     edp = pa.StructArray.from_arrays(
         [
             h_attrs,
-            pa.array(time_ns[g_rows][h_start], type=pa.string()),
-            pa.array(h_counts.astype("U"), type=pa.string()),
+            h_time,
+            h_count,
             pa.array(np.zeros(n_h, dtype=np.int64), type=pa.int64()),
             pa.array(zero_per.astype("U"), type=pa.string()),
             positive,
         ],
         fields=list(_EDP),
     )
-    exp_dps = pa.ListArray.from_arrays(pa.array(h_off, type=pa.int32()), edp)
     exp_struct = pa.StructArray.from_arrays(
-        [
-            exp_dps,
-            pa.array(
-                np.full(n_scope, AGG_TEMPORALITY_DELTA, dtype=np.int64),
-                type=pa.int64(),
-            ),
-        ],
-        fields=list(_EXP_HIST),
+        [pa.ListArray.from_arrays(h_off, edp), delta], fields=list(_EXP_HIST)
     )
 
     # summary datapoints: same (scope, conv) groups — count/sum plus
@@ -436,96 +368,51 @@ def nest_otlp_metrics_batch(t: pa.Table) -> pa.Table:
     sdp = pa.StructArray.from_arrays(
         [
             h_attrs,
-            pa.array(time_ns[g_rows][h_start], type=pa.string()),
-            pa.array(h_counts.astype("U"), type=pa.string()),
+            h_time,
+            h_count,
             pa.array(h_sums.astype(np.float64), type=pa.float64()),
             qlists,
         ],
         fields=list(_SDP),
     )
-    summary_dps = pa.ListArray.from_arrays(
-        pa.array(h_off, type=pa.int32()), sdp
-    )
-    summary_struct = pa.StructArray.from_arrays([summary_dps], fields=list(_SUMMARY))
-
-    def metric_entry(
-        name, gauge=None, sum_=None, hist=None, exp=None, summ=None
-    ):
-        return pa.StructArray.from_arrays(
-            [
-                pa.array(np.full(n_scope, name, object), type=pa.string()),
-                gauge if gauge is not None else pa.nulls(n_scope, _GAUGE),
-                sum_ if sum_ is not None else pa.nulls(n_scope, _SUM),
-                hist if hist is not None else pa.nulls(n_scope, _HIST),
-                exp if exp is not None else pa.nulls(n_scope, _EXP_HIST),
-                summ if summ is not None else pa.nulls(n_scope, _SUMMARY),
-            ],
-            fields=list(_METRIC),
-        )
-
-    branches = [
-        metric_entry("turn.latency_ms", gauge=gauge_struct),
-        metric_entry("turn.count", sum_=sum_struct),
-        metric_entry("turn.latency.hist", hist=hist_struct),
-        metric_entry("turn.latency.exphist", exp=exp_struct),
-        metric_entry("turn.latency.summary", summ=summary_struct),
-    ]
-    nm = len(branches)
-    # interleave [gauge_i, sum_i, hist_i, exp_i] per scope
-    idx = np.empty(nm * n_scope, dtype=np.int64)
-    for j in range(nm):
-        idx[j::nm] = np.arange(n_scope) + j * n_scope
-    metrics = pa.concat_arrays(branches).take(pa.array(idx, type=pa.int64()))
-    metrics_list = pa.ListArray.from_arrays(
-        pa.array(
-            np.arange(0, nm * n_scope + nm, nm, dtype=np.int32),
-            type=pa.int32(),
-        ),
-        metrics,
+    summary_struct = pa.StructArray.from_arrays(
+        [pa.ListArray.from_arrays(h_off, sdp)], fields=list(_SUMMARY)
     )
 
-    scope = pa.StructArray.from_arrays(
+    # every scope's metrics: [gauge, sum, hist, exp, summary], each a
+    # Metric with one oneof branch set
+    name_field, *data_fields = list(_METRIC)
+    branches = (
+        ("turn.latency_ms", "gauge", gauge_struct),
+        ("turn.count", "sum", sum_struct),
+        ("turn.latency.hist", "histogram", hist_struct),
+        ("turn.latency.exphist", "exponentialHistogram", exp_struct),
+        ("turn.latency.summary", "summary", summary_struct),
+    )
+    metrics = pa.concat_arrays(
         [
-            pa.array(
-                np.char.add("otelray.", rol[sc_change].astype("U")),
-                type=pa.string(),
-            ),
-            pa.array(["1.0"] * n_scope, type=pa.string()),
-        ],
-        names=["name", "version"],
+            pa.StructArray.from_arrays(
+                [
+                    pa.array(np.full(n_scope, name, object), type=pa.string()),
+                    *(
+                        data if f.name == branch else pa.nulls(n_scope, f.type)
+                        for f in data_fields
+                    ),
+                ],
+                fields=[name_field, *data_fields],
+            )
+            for name, branch, data in branches
+        ]
     )
-    scopes = pa.StructArray.from_arrays(
-        [scope, metrics_list], names=["scope", "metrics"]
+    nm = len(branches)
+    idx = (np.arange(nm)[None, :] * n_scope + np.arange(n_scope)[:, None]).ravel()
+    metric_lists = pa.ListArray.from_arrays(
+        pa.array(np.arange(0, nm * n_scope + nm, nm, dtype=np.int32), type=pa.int32()),
+        metrics.take(pa.array(idx, type=pa.int64())),
     )
-
-    # ---- resource groups: change points of service over scope groups
-    svc_per_scope = svc[sc_change]
-    if n_scope:
-        rs_change = np.flatnonzero(
-            np.concatenate(([True], svc_per_scope[1:] != svc_per_scope[:-1]))
-        )
-    else:
-        rs_change = np.empty(0, np.int64)
-    rs_off = np.append(rs_change, n_scope).astype(np.int32)
-    scope_metrics = pa.ListArray.from_arrays(
-        pa.array(rs_off, type=pa.int32()), scopes
+    return nest_requests(
+        df, starts, metric_lists, ("resourceMetrics", "scopeMetrics", "metrics")
     )
-    n_res = len(rs_change)
-    res_svc = svc_per_scope[rs_change] if n_scope else np.empty(0, object)
-    res_attrs = _kv_list(
-        np.full(n_res, "service.name", dtype=object),
-        np.asarray(res_svc, dtype=object),
-        np.full(n_res, None, dtype=object),
-        np.arange(n_res + 1),
-    )
-    resource = pa.StructArray.from_arrays([res_attrs], names=["attributes"])
-    res_entries = pa.StructArray.from_arrays(
-        [resource, scope_metrics], names=["resource", "scopeMetrics"]
-    )
-    resource_metrics = pa.ListArray.from_arrays(
-        pa.array([0, n_res], type=pa.int32()), res_entries
-    )
-    return pa.table({"resourceMetrics": resource_metrics})
 
 
 def _walk(t: pa.Table):

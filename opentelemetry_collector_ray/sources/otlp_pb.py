@@ -55,12 +55,11 @@ from . import wirefs
 from .parquet import file_tasks
 from .wirefs import unframe_requests
 from .otlp_json import (
-    _COMPRESS_EXT,
     LOGS_REQUEST,
     WIDE_INTS,
     Message,
+    RequestFileWriter,
     arrow_type,
-    compress_payload,
     decompress_payload,
     flatten_otlp_batch,
     nest_otlp_batch,
@@ -135,7 +134,7 @@ def _classes() -> dict:
     unpicklable upb classes into the closure. A call costs about a
     millisecond, so callers build once and pass the class in: the batch
     readers and writers once per batch (``_decode_batch``,
-    ``_PbWriter.__call__``), the HTTP listener once for its lifetime —
+    ``render_pb``), the HTTP listener once for its lifetime —
     a per-request ``_classes()`` would add that to every ack."""
     from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
 
@@ -260,43 +259,14 @@ def typed_trees(signal: Signal, trees: list) -> pa.Table:
     return pa.table({signal.root: pa.array(trees, type=signal.tree_type)})
 
 
-class _PbWriter:
-    """Binary-protobuf Export sink: each writer batch of k request rows
-    is encoded, FRAMED into one payload (``wirefs.frame_requests`` —
-    magic + length prefixes; one file per request was a 10^8-small-
-    files problem at 10^12 rows), wire-compressed whole, and landed
-    atomically under a content-addressed name on any pyarrow
-    filesystem (retry-idempotent; see ``wirefs``)."""
-
-    def __init__(
-        self,
-        out_dir: str,
-        compression: str | None = None,
-        *,
-        signal: Signal,
-        filesystem=None,
-    ):
-        self.out_dir = out_dir
-        self.compression = compression
-        self.signal = signal
-        self.filesystem = filesystem
-        self.ext = ".binpb" + _COMPRESS_EXT.get(compression or "", "")
-        self._dir_ready = False
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        req_cls = _classes()[self.signal.request]  # once per batch, per worker
-        fs, dir_path = wirefs.resolve_fs(self.out_dir, self.filesystem)
-        if not self._dir_ready:
-            wirefs.ensure_dir(fs, dir_path)
-            self._dir_ready = True
-        blobs = [encode_request(self.signal, row, req_cls) for row in t.to_pylist()]
-        if blobs:
-            payload = compress_payload(
-                wirefs.frame_requests(blobs), self.compression
-            )
-            name = wirefs.content_name(self.signal.prefix, payload, self.ext)
-            wirefs.atomic_write(fs, dir_path, name, payload)
-        return pa.table({"rows": pa.array([len(blobs)], type=pa.int64())})
+def render_pb(signal: Signal, requests: list) -> bytes:
+    """Request trees → ONE framed binary payload
+    (``wirefs.frame_requests`` — magic + length prefixes; one file per
+    request was a 10^8-small-files problem at 10^12 rows)."""
+    req_cls = _classes()[signal.request]  # once per batch, per worker
+    return wirefs.frame_requests(
+        [encode_request(signal, row, req_cls) for row in requests]
+    )
 
 
 def write_otlp_pb(
@@ -312,9 +282,15 @@ def write_otlp_pb(
     OTLP protobuf files (``requests_per_file`` Export payloads per
     file; ``out_dir`` may be a filesystem URI). Returns the number of
     requests written."""
+    writer = functools.partial(
+        RequestFileWriter,
+        render=functools.partial(render_pb, signal),
+        prefix=signal.prefix,
+        suffix=".binpb",
+    )
     return write_requests(
         ds, out_dir, compression, rows_per_request, nest=signal.nest,
-        writer=functools.partial(_PbWriter, signal=signal), **fs_opts,
+        writer=writer, **fs_opts,
     )
 
 

@@ -6,10 +6,12 @@ pdata/ptrace/pb.go:24-44) with the OTLP-JSON deviation from plain
 proto3 JSON: trace/span IDs are HEX strings on the JSON wire (the Go
 codec implements custom ID marshaling — pdata/pcommon/trace_id.go),
 while the binary wire carries raw bytes. This module is the traces
-sibling of ``otlp_json.py``: the same vectorized nest (change-point
-grouping → ListArray offsets) and flatten (list_flatten /
-parent_indices) halves over the span tree, so a user can point the
-engine at genuine OTel trace-export NDJSON and write it back out.
+sibling of ``otlp_json.py``: its nest builds only the spans and puts
+them in the shared ``otlp_json.nest_requests`` envelope (the same
+sorted frame, resource → scope grouping and trace/span ID scheme as
+the logs nest), and its flatten starts from the shared
+``walk_requests``, so a user can point the engine at genuine OTel
+trace-export NDJSON and write it back out.
 
 Deterministic transcript mapping (mirrored by the
 ``otlp_traces_flatten`` oracle — DuckDB shares ``md5``):
@@ -26,9 +28,9 @@ Deterministic transcript mapping (mirrored by the
                embedded-struct default — ptrace/status.go)
 - resource   = service.name from the tool dimension; scope = otelray.<role>
 
-The md5 IDs run per row at the codec boundary only (same cost class as
-the one ``json.dumps`` per request); trace IDs are hashed once per
-UNIQUE conv_id via factorize.
+The md5 IDs (``otlp_json.turn_ids`` / ``span_hex``) run per row at the
+codec boundary only (same cost class as the one ``json.dumps`` per
+request); trace IDs are hashed once per UNIQUE conv_id via factorize.
 """
 
 from __future__ import annotations
@@ -36,24 +38,25 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import DIM_TOOL_SERVICE
 from ..stages.parse import GROK_PATTERN
 from .otlp_json import (
     KEY_VALUE,
     Message,
-    _require_non_null_keys,
     _i64_strings,
-    _kv_list,
-    _md5_hex,
-    _str,
     arrow_type,
+    identity_attrs,
+    nest_requests,
     read_otlp_json,
     record_attrs,
     request_message,
+    row_lists,
+    scope_starts,
+    span_hex,
+    transcript_frame,
+    turn_ids,
     walk_requests,
     with_context,
     write_requests,
@@ -87,44 +90,16 @@ TRACES_REQUEST = request_message("ExportTraceServiceRequest", "Spans", "spans", 
 
 def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
     """Transcript rows → ONE ExportTraceServiceRequest row (the marshal
-    half, ptrace/json.go MarshalTraces): spans grouped into scopes by
-    role, scopes into resources by derived service.name."""
-    _require_non_null_keys(t)
-    n = len(t)
-    df = pd.DataFrame(
-        {
-            "service": pd.Series(_str(t["tool"])).fillna("").map(
-                lambda x: DIM_TOOL_SERVICE.get(x, "unknown")
-            ),
-            "role": _str(t["role"]),
-            "conv_id": _str(t["conv_id"]),
-            "turn_idx": t["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64),
-            "tool": _str(t["tool"]),
-            "text": _str(t["text"]),
-            "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False),
-        }
-    )
-    df = df.sort_values(
-        ["service", "role", "conv_id", "turn_idx"], kind="mergesort"
-    ).reset_index(drop=True)
-    svc = df["service"].to_numpy(dtype=object)
-    rol = df["role"].to_numpy(dtype=object)
+    half, ptrace/json.go MarshalTraces): a span per row, in the
+    ``nest_requests`` envelope."""
+    df = transcript_frame(t)
+    n = len(df)
     conv = df["conv_id"].to_numpy(dtype=object)
     turn = df["turn_idx"].to_numpy()
 
-    # ---- span identity (hex wire form; trace id hashed per UNIQUE conv)
-    conv_codes, conv_uniq = pd.factorize(df["conv_id"])
-    trace_hex = _md5_hex(np.asarray(conv_uniq, dtype=object), 32)[conv_codes]
-    turn_str = turn.astype("U").astype(object)
-    span_keys = np.char.add(
-        np.char.add(conv.astype("U"), ":"), turn_str.astype("U")
-    ).astype(object)
-    span_hex = _md5_hex(span_keys, 16)
-    parent_keys = np.char.add(
-        np.char.add(conv.astype("U"), ":"), (turn - 1).astype("U")
-    ).astype(object)
-    parent_hex = _md5_hex(parent_keys, 16)
-    parent_hex = np.where(turn > 0, parent_hex, None)
+    # ---- span identity (hex wire form)
+    trace_hex, span = turn_ids(df)
+    parent_hex = np.where(turn > 0, span_hex(conv, turn - 1), None)
 
     # ---- parsed fields (one RE2 pass, same grammar as stages/parse.py)
     text_arr = pa.array(df["text"].to_numpy(dtype=object), type=pa.string())
@@ -149,7 +124,7 @@ def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
     start_us = df["ts_us"].to_numpy()
     end_us = start_us + latency_ms * 1000
     kind = pa.array(
-        pd.Series(rol).map(KIND_INT).fillna(1).astype(np.int64),
+        df["role"].map(KIND_INT).fillna(1).astype(np.int64),
         type=pa.int64(),
     )
     # status: present (code=2) only on ERROR turns — unset otherwise, so
@@ -176,15 +151,11 @@ def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
     events = pa.ListArray.from_arrays(
         pa.array(np.arange(n + 1, dtype=np.int32), type=pa.int32()),
         pa.StructArray.from_arrays(
-            [
-                pa.array(start_str, type=pa.string()),
-                name,
-            ],
+            [pa.array(start_str, type=pa.string()), name],
             names=["timeUnixNano", "name"],
         ),
     )
-    root_keys = np.char.add(conv.astype("U"), ":0").astype(object)
-    root_hex = _md5_hex(root_keys, 16)
+    root_hex = span_hex(conv, np.zeros_like(turn))
     has_link = turn > 0
     link_off = np.concatenate(([0], np.cumsum(has_link.astype(np.int32))))
     link_rows = np.flatnonzero(has_link)
@@ -199,86 +170,31 @@ def nest_otlp_traces_batch(t: pa.Table) -> pa.Table:
         ),
     )
 
-    # span attributes: conv.id / turn.index / tool — 3 entries per span
-    keys = np.empty(3 * n, dtype=object)
-    svals = np.empty(3 * n, dtype=object)
-    ivals = np.empty(3 * n, dtype=object)
-    keys[0::3], keys[1::3], keys[2::3] = "conv.id", "turn.index", "tool"
-    svals[0::3] = conv
-    svals[1::3] = None
-    svals[2::3] = df["tool"].to_numpy(dtype=object)
-    ivals[0::3] = None
-    ivals[1::3] = turn_str
-    ivals[2::3] = None
-    span_attrs = _kv_list(keys, svals, ivals, np.arange(0, 3 * n + 3, 3))
-
     spans = pa.StructArray.from_arrays(
         [
             pa.array(trace_hex, type=pa.string()),
-            pa.array(span_hex, type=pa.string()),
+            pa.array(span, type=pa.string()),
             pa.array(parent_hex, type=pa.string()),
             name,
             kind,
-            pa.array(_i64_strings(start_us, scale=1000), type=pa.string()),
+            pa.array(start_str, type=pa.string()),
             pa.array(_i64_strings(end_us, scale=1000), type=pa.string()),
-            span_attrs,
+            identity_attrs(
+                conv, turn.astype("U").astype(object), df["tool"].to_numpy(dtype=object)
+            ),
             events,
             links,
             status,
         ],
         fields=list(arrow_type(_SPAN)),
     )
-
-    # ---- scope groups: change points of (service, role)
-    if n:
-        sc_change = np.flatnonzero(
-            np.concatenate(
-                ([True], (svc[1:] != svc[:-1]) | (rol[1:] != rol[:-1]))
-            )
-        )
-    else:
-        sc_change = np.empty(0, np.int64)
-    sc_off = np.append(sc_change, n).astype(np.int32)
-    span_lists = pa.ListArray.from_arrays(pa.array(sc_off, type=pa.int32()), spans)
-    n_scope = len(sc_change)
-    scope = pa.StructArray.from_arrays(
-        [
-            pa.array(
-                np.char.add("otelray.", rol[sc_change].astype("U")),
-                type=pa.string(),
-            ),
-            pa.array(["1.0"] * n_scope, type=pa.string()),
-        ],
-        names=["name", "version"],
+    starts = scope_starts(df)
+    return nest_requests(
+        df,
+        starts,
+        row_lists(df, starts, spans),
+        ("resourceSpans", "scopeSpans", "spans"),
     )
-    scopes = pa.StructArray.from_arrays([scope, span_lists], names=["scope", "spans"])
-
-    # ---- resource groups: change points of service over scope groups
-    svc_per_scope = svc[sc_change]
-    if n_scope:
-        rs_change = np.flatnonzero(
-            np.concatenate(([True], svc_per_scope[1:] != svc_per_scope[:-1]))
-        )
-    else:
-        rs_change = np.empty(0, np.int64)
-    rs_off = np.append(rs_change, n_scope).astype(np.int32)
-    scope_spans = pa.ListArray.from_arrays(pa.array(rs_off, type=pa.int32()), scopes)
-    n_res = len(rs_change)
-    res_svc = svc_per_scope[rs_change] if n_scope else np.empty(0, object)
-    res_attrs = _kv_list(
-        np.full(n_res, "service.name", dtype=object),
-        np.asarray(res_svc, dtype=object),
-        np.full(n_res, None, dtype=object),
-        np.arange(n_res + 1),
-    )
-    resource = pa.StructArray.from_arrays([res_attrs], names=["attributes"])
-    res_entries = pa.StructArray.from_arrays(
-        [resource, scope_spans], names=["resource", "scopeSpans"]
-    )
-    resource_spans = pa.ListArray.from_arrays(
-        pa.array([0, n_res], type=pa.int32()), res_entries
-    )
-    return pa.table({"resourceSpans": resource_spans})
 
 
 def _first_struct_field(lst: pa.ListArray, field: str) -> pa.Array:

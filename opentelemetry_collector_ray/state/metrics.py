@@ -16,7 +16,8 @@ numbers from the per-sink counts the driver read from parquet footers
 ``obs_counters`` query), and ``run_partitioned`` records per-partition
 rows in its ledger. ``MetricsActor`` holds the counts made on the data
 plane: with ``engine.processorCounters`` on, the config runner creates
-one unnamed actor per run and hands it to every
+one unnamed actor per write attempt (a retried write re-executes the
+dataset into a fresh one) and hands it to every
 ``pipelines.builder.StageChain``, which waits for its one ``add_many``
 per block before returning the block, so the snapshot read after the
 write is exact. In batch mode ``refused`` and ``dropped`` are

@@ -19,7 +19,9 @@ instrument (``receiver/accepted_log_records``,
 branch and a single asInt datapoint — the pdata shape of a lifetime
 counter (metrics.proto AggregationTemporality.CUMULATIVE=2, matching
 the reference's prometheus counters which are likewise cumulative).
-Files land through ``sources.wirefs`` (atomic, content-addressed, any
+The json and pb files are rendered and landed by the data plane's own
+request-file code (``otlp_json.render_ndjson`` / ``otlp_pb.render_pb``,
+then ``otlp_json.land_payload``: atomic, content-addressed, any
 pyarrow filesystem), so a per-tick ``tail_run`` export of the SAME
 snapshot is idempotent — no duplicate wire files across ticks with
 unchanged counters.
@@ -27,11 +29,9 @@ unchanged counters.
 
 from __future__ import annotations
 
-import json
-
 from ..sources import wirefs
-from ..sources.otlp_json import _COMPRESS_EXT, compress_payload
-from ..sources.otlp_pb import encode_metrics_request
+from ..sources.otlp_json import land_payload, render_ndjson
+from ..sources.otlp_pb import SIGNALS, render_pb
 
 AGG_TEMPORALITY_CUMULATIVE = 2
 
@@ -106,32 +106,21 @@ def export_telemetry(
     if not snapshot:
         return None
     tree = telemetry_request_tree(snapshot, ts_unix_nano, service_name)
-    fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
-    wirefs.ensure_dir(fs, dir_path)
     if wire == "json":
-        payload = compress_payload(
-            (json.dumps(tree, separators=(",", ":")) + "\n").encode(),
-            compression,
-        )
-        ext = ".json" + _COMPRESS_EXT.get(compression or "", "")
+        payload, suffix = render_ndjson([tree]), ".json"
     elif wire == "pb":
-        payload = compress_payload(
-            wirefs.frame_requests([encode_metrics_request(tree)]), compression
-        )
-        ext = ".binpb" + _COMPRESS_EXT.get(compression or "", "")
+        payload, suffix = render_pb(SIGNALS["metrics"], [tree]), ".binpb"
     elif wire == "prom":
         # Prometheus text exposition — the reference's actual
         # initPrometheus wire; timestamp-free by design (a scrape
         # endpoint serves current values), so re-exports of the same
         # snapshot collapse regardless of ts_unix_nano
-        payload = compress_payload(
-            render_prometheus(snapshot).encode(), compression
-        )
-        ext = ".prom" + _COMPRESS_EXT.get(compression or "", "")
+        payload, suffix = render_prometheus(snapshot).encode(), ".prom"
     else:
         raise ValueError(f"unknown telemetry wire: {wire!r} (json|pb|prom)")
-    name = wirefs.content_name("telemetry", payload, ext)
-    return wirefs.atomic_write(fs, dir_path, name, payload)
+    fs, dir_path = wirefs.resolve_fs(out_dir, filesystem, storage_options)
+    wirefs.ensure_dir(fs, dir_path)
+    return land_payload(fs, dir_path, payload, compression, "telemetry", suffix)
 
 
 def _prom_name(name: str) -> str:

@@ -608,6 +608,42 @@ def test_processor_counters_exact_across_stage_groups(corpus, tmp_path):
         assert sum(v for k, v in c.items() if k.startswith(prefix)) == n
 
 
+def test_retried_write_counts_each_stage_once(corpus, tmp_path, monkeypatch):
+    """A retried sink write re-executes the dataset: the failed
+    attempt's counter adds must not reach the report, so every stage's
+    accepted count equals the rows read."""
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.sinks import retry, writers
+
+    real_write = writers.atomic_write_parquet
+    attempts = []
+
+    def fails_once_after_writing(ds, out_dir, **kw):
+        n = real_write(ds, out_dir, **kw)
+        attempts.append(n)
+        if len(attempts) == 1:
+            raise OSError("injected: the write completed, then failed")
+        return n
+
+    monkeypatch.setattr(writers, "atomic_write_parquet", fails_once_after_writing)
+    monkeypatch.setattr(retry.RetryPolicy, "sleep", staticmethod(lambda s: None))
+    spec = {
+        "pipeline": {
+            "source": {"type": "parquet", "paths": [corpus]},
+            "stages": [{"type": "parse"}, {"type": "enrich"}],
+            "sinks": {"mode": "single", "out_dir": str(tmp_path / "out")},
+            "feature_gates": ["engine.processorCounters"],
+        }
+    }
+    report = run_pipeline(spec)
+    n_in = pq.read_table(corpus).num_rows
+    assert attempts == [n_in, n_in] and report["rows"] == n_in
+    c = report["processor_counters"]
+    assert c["processor/parse/accepted_log_records"] == n_in
+    assert c["processor/enrich/accepted_log_records"] == n_in
+
+
 def test_condition_filter_stage_in_config_pipeline(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq

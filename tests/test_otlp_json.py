@@ -7,6 +7,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from opentelemetry_collector_ray.sources.otlp_json import (
@@ -15,6 +16,8 @@ from opentelemetry_collector_ray.sources.otlp_json import (
     read_otlp_logs_json,
     write_otlp_logs_json,
 )
+from opentelemetry_collector_ray.sources.otlp_metrics import nest_otlp_metrics_batch
+from opentelemetry_collector_ray.sources.otlp_traces import nest_otlp_traces_batch
 
 
 def _transcript_batch():
@@ -35,17 +38,70 @@ def _transcript_batch():
     )
 
 
-def test_nest_structure_and_grouping():
-    nested = nest_otlp_batch(_transcript_batch())
+_NESTS = {
+    "logs": (nest_otlp_batch, ("resourceLogs", "scopeLogs", "logRecords")),
+    "traces": (nest_otlp_traces_batch, ("resourceSpans", "scopeSpans", "spans")),
+    "metrics": (
+        nest_otlp_metrics_batch,
+        ("resourceMetrics", "scopeMetrics", "metrics"),
+    ),
+}
+
+
+def _item_rows(signal: str, item: dict) -> list:
+    """The (conv.id, turn.index) of the transcript rows an item stands
+    for: a log record or span is one row; of a scope's metrics, the
+    Sum holds one datapoint per row."""
+    if signal == "metrics":
+        points = item["sum"]["dataPoints"] if item["sum"] else []
+    else:
+        points = [item]
+    out = []
+    for p in points:
+        kv = {a["key"]: a["value"] for a in p["attributes"]}
+        out.append((kv["conv.id"]["stringValue"], int(kv["turn.index"]["intValue"])))
+    return out
+
+
+@pytest.mark.parametrize("signal", list(_NESTS))
+def test_nest_structure_and_grouping(signal):
+    nest, (root, scopes, items) = _NESTS[signal]
+    t = _transcript_batch()
+    nested = nest(t)
     assert nested.num_rows == 1  # one request per batch
-    req = nested.to_pylist()[0]
-    res = req["resourceLogs"]
-    # resources grouped by derived service.name, sorted
+    res = nested.to_pylist()[0][root]
+    # one resource per derived service.name, sorted, so each service's
+    # rows are consecutive
     names = [
         r["resource"]["attributes"][0]["value"]["stringValue"] for r in res
     ]
     assert names == ["data", "infra", "unknown"]
-    # scope carries the role; records carry conv/turn/tool attributes
+    role_of = {
+        (c, i): r
+        for c, i, r in zip(
+            t["conv_id"].to_pylist(), t["turn_idx"].to_pylist(), t["role"].to_pylist()
+        )
+    }
+    seen = []
+    for r in res:
+        roles = []
+        for sc in r[scopes]:
+            # one scope per role: otelray.<role> v1.0, holding only
+            # that role's rows
+            assert sc["scope"]["name"].startswith("otelray.")
+            assert sc["scope"]["version"] == "1.0"
+            roles.append(sc["scope"]["name"].removeprefix("otelray."))
+            rows = [p for it in sc[items] for p in _item_rows(signal, it)]
+            assert rows and {role_of[p] for p in rows} == {roles[-1]}
+            seen += rows
+        assert len(roles) == len(set(roles))
+    assert sorted(seen) == sorted(role_of)  # every row, once
+    empty = nest(t.slice(0, 0))
+    assert empty.num_rows == 1 and empty.to_pylist()[0][root] == []
+    if signal != "logs":
+        return
+    # records carry severity, the fixed64 time as a STRING, the body
+    # and the conv/turn/tool attributes
     scope = res[0]["scopeLogs"][0]
     assert scope["scope"]["name"] == "otelray.assistant"
     rec = scope["logRecords"][0]

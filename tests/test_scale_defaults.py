@@ -125,3 +125,35 @@ def test_content_key_vectorized_hash_matches_md5_grouping():
         groups.setdefault(key, set()).add(txt)
     assert all(len(v) == 1 for v in groups.values())  # no collisions
     assert len(groups) == len(set(texts))  # equal texts share keys
+
+
+def test_coalesce_for_shuffle_runs_upstream_once():
+    """Sizing the repartition must not execute the upstream plan a
+    second time: a counting map before it runs once per block."""
+    from opentelemetry_collector_ray.functions.shard import coalesce_for_shuffle
+
+    @ray.remote
+    class Calls:
+        def __init__(self):
+            self.n = 0
+
+        def add(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    calls = Calls.remote()
+
+    def counted(t: pa.Table) -> pa.Table:
+        ray.get(calls.add.remote())
+        return t
+
+    upstream = ray.data.range(4000, override_num_blocks=4).map_batches(
+        counted, batch_format="pyarrow", batch_size=None
+    )
+    out = coalesce_for_shuffle(upstream, cpus=1).materialize()
+    assert ray.get(calls.get.remote()) == 4
+    # max(16 floor, 1 CPU, a few KB / 128 MB) blocks, every row kept
+    assert out.num_blocks() == 16
+    assert sorted(r["id"] for r in out.take_all()) == list(range(4000))
