@@ -320,6 +320,23 @@ def run_service(spec: dict | str) -> dict:
     return reports
 
 
+def _route_sink_count(cfg: PipelineConfig) -> int | None:
+    """How many sinks a route-mode run can land, from its config alone:
+    the routes of its last enrich stage, the default route and the
+    errors sink (an upper bound: a corpus may lack some roles). None
+    without an enrich stage, where the route column comes from the
+    data. Sizing a sorted write by it runs the staged plan once."""
+    from ..schema import DEFAULT_ROUTE, DIM_ROLE_ROUTE, ERROR_SINK
+
+    enrich = [st for st in cfg.stages if st.type == "enrich"]
+    if not enrich:
+        return None
+    routes = enrich[-1].options.get("role_route")
+    if routes is None:
+        routes = DIM_ROLE_ROUTE
+    return len({str(v) for v in routes.values()} | {DEFAULT_ROUTE, ERROR_SINK})
+
+
 def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
     from ..sinks.retry import AttemptTimeout, RetryPolicy, retry_call
     from ..sinks.writers import atomic_write_parquet, write_sinks
@@ -377,6 +394,7 @@ def _run_one(cfg: PipelineConfig, source: ray.data.Dataset) -> dict:
                 staged().map_batches(explode_sinks_batch, batch_format="pyarrow"),
                 out_dir,
                 sort_within=sort_within,
+                n_sinks=_route_sink_count(cfg),
                 **sizing,
             ),
             policy=policy,

@@ -85,6 +85,8 @@ DIM_ROLE_ROUTE = {
     "tool": "tooling",
     "system": "audit",
 }
+# the route of a role that the role → route table does not name
+DEFAULT_ROUTE = "ingest"
 
 # Every row goes to its role-route sink; ERROR-level rows additionally go
 # to the "errors" sink (fan-out: one row → ≥1 sinks, the fanoutconsumer

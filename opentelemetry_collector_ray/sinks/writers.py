@@ -12,9 +12,9 @@
   write (``partition_cols=["sink"]``), every sink directory
   independently re-readable.
 - ``landed_counts``: the ``sent_log_records`` numbers, summed from the
-  parquet footers of the files that landed — counted once at the
-  exporter boundary (obsmetrics/obs_exporter.go:37), never by scanning
-  the written data a second time.
+  parquet footers of the staged files just before they are published —
+  counted once at the exporter boundary (obsmetrics/obs_exporter.go:37),
+  never by scanning the written data a second time.
 - ``logging_sink``: the logging/debug exporter
   (exporter/loggingexporter/logging_exporter.go:40-87) — counts
   records and shows a bounded sample instead of exporting.
@@ -84,11 +84,14 @@ def atomic_write_parquet(
     ds: ray.data.Dataset,
     out_dir: str,
     *,
+    key: str | None = None,
     filesystem=None,
     storage_options: dict | None = None,
     **kwargs,
-) -> int:
-    """Write to ``out_dir`` atomically; returns row count.
+) -> int | dict[str, int]:
+    """Write to ``out_dir`` atomically; returns the row count, or with
+    ``key`` (a hive partition column) the dict of its value → rows
+    (``landed_counts`` of the staged files, read before the publish).
 
     Each attempt runs ``wirefs.recover`` (an earlier crashed publish
     leaves debris, or the previous sink stranded in ``.old-``), writes
@@ -110,9 +113,9 @@ def atomic_write_parquet(
     # created up front so an empty dataset still publishes an empty sink
     fs.create_dir(tmp, recursive=True)
     ds.write_parquet(tmp, filesystem=fs, **{**WRITE_OPTIONS, **kwargs})
-    rows = landed_counts(tmp, fs)
+    rows = landed_counts(tmp, fs, key=key)
     wirefs.publish(tmp, out_dir, fs)
-    return int(rows)
+    return rows if key is not None else int(rows)
 
 
 def write_sinks(
@@ -120,13 +123,14 @@ def write_sinks(
     out_dir: str,
     *,
     sort_within: tuple[str, ...] | None = None,
+    n_sinks: int | None = None,
     filesystem=None,
     storage_options: dict | None = None,
     **kwargs,
 ) -> dict:
     """One-pass atomic fan-out write of an exploded (…, sink) dataset;
     returns per-sink counts (the exporter sent_log_records numbers),
-    summed from the footers of the published files (``landed_counts``).
+    summed from the footers of the written files (``landed_counts``).
     ``out_dir`` may be a filesystem URI (``storage_options`` →
     filesystem constructor, the configauth plumbing).
 
@@ -134,7 +138,11 @@ def write_sinks(
     partitioned write — each output file is then internally ordered by
     ``sort_within`` (the §2.6 stable (conv_id, turn_idx) promise at the
     file level; per-file, not global — a global sort would be an
-    unnecessary all-to-all). Gated by ``engine.sortedSinkWrites``."""
+    unnecessary all-to-all). Gated by ``engine.sortedSinkWrites``.
+    With ``min_rows_per_file`` it sizes blocks by the sink count:
+    ``n_sinks`` when the caller knows it (a config run takes it from
+    its routes), else a grouped count, which executes ``exploded`` once
+    more before the write executes it again."""
     fs, out_dir = wirefs.resolve_fs(out_dir, filesystem, storage_options)
     if sort_within:
         if kwargs.get("min_rows_per_file"):
@@ -146,21 +154,22 @@ def write_sinks(
             # sink it contains, so scale the block target by the sink
             # count (a cheap combiner pass) or fragments land at
             # ~min_rows/n_sinks and re-create the small-files problem.
-            from ..functions.agg import grouped_count_driver
             from ..stages.batch import rebatch
 
-            n_sinks = max(len(grouped_count_driver(exploded, ["sink"])), 1)
+            if n_sinks is None:
+                from ..functions.agg import grouped_count_driver
+
+                n_sinks = len(grouped_count_driver(exploded, ["sink"]))
             exploded = rebatch(
-                exploded, int(kwargs.pop("min_rows_per_file")) * n_sinks
+                exploded, int(kwargs.pop("min_rows_per_file")) * max(n_sinks, 1)
             )
         keys = [("sink", "ascending")] + [(c, "ascending") for c in sort_within]
         exploded = exploded.map_batches(
             lambda t: t.sort_by(keys), batch_format="pyarrow"
         )
-    atomic_write_parquet(
-        exploded, out_dir, partition_cols=["sink"], filesystem=fs, **kwargs
+    return atomic_write_parquet(
+        exploded, out_dir, partition_cols=["sink"], key="sink", filesystem=fs, **kwargs
     )
-    return landed_counts(out_dir, fs, key="sink")
 
 
 def logging_sink(ds: ray.data.Dataset, *, sample: int = 5, name: str = "debug") -> dict:

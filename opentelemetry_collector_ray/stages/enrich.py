@@ -15,7 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import DIM_ROLE_ROUTE, DIM_TOOL_SERVICE
+from ..schema import DEFAULT_ROUTE, DIM_ROLE_ROUTE, DIM_TOOL_SERVICE
 
 
 def _dict_lookup(
@@ -50,5 +50,5 @@ def enrich_batch(
 ) -> pa.Table:
     """Append ``service`` (tool→service) and ``route`` (role→route)."""
     service = _dict_lookup(batch["tool"], tool_service, default="unknown")
-    route = _dict_lookup(batch["role"], role_route, default="ingest")
+    route = _dict_lookup(batch["role"], role_route, default=DEFAULT_ROUTE)
     return batch.append_column("service", service).append_column("route", route)

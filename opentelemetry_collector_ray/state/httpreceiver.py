@@ -17,6 +17,12 @@ receiver's atomically republished open spool segment (one file per
 queue+storage acceptance contract. From the spool onward the checkpoint ledger makes
 processing exactly-once (``state.checkpoint.run_partitioned``).
 
+The hop to the actor: each request's flat rows cross as one Arrow IPC
+stream (``state.receiver.ipc_bytes``; encoding and decoding a 256-row
+request takes about 0.05 ms on one vCPU), never as a ``pa.Table``:
+Ray rebuilds a Table argument through ``ray.air``'s tensor extensions,
+which would load Ray Data and pandas into the receiver's process.
+
 Decoding is one ``_flatten_request`` for every signal and both wires,
 over the URL signal's ``otlp_pb.SIGNALS`` entry: protobuf bodies go
 decode → ``typed_trees`` → flatten, JSON bodies go
@@ -71,6 +77,7 @@ from ..sources.otlp_pb import (
     typed_trees,
 )
 from ..sources.otlp_traces import flatten_otlp_traces_batch
+from .receiver import ipc_bytes
 
 _PB_TYPES = ("application/x-protobuf", "application/protobuf")
 _JSON_TYPES = ("application/json",)
@@ -215,8 +222,8 @@ class OtlpHttpListener:
         try:
             names = os.listdir(self._spool_dir)
         except FileNotFoundError:
-            # the receiver actor creates spool_dir lazily on its first
-            # landing — no directory yet means zero backlog, not 500
+            # the receiver actor creates spool_dir when it starts; a
+            # directory removed since then means zero backlog, not 500
             return False
         n = sum(1 for name in names if name.endswith(".parquet"))
         return n >= self._backlog
@@ -284,7 +291,9 @@ class OtlpHttpListener:
             # Export acks immediately: nothing to land)
             if len(flat):
                 try:
-                    ray.get(actor.export_table.remote(flat, durable=True))
+                    ray.get(
+                        actor.export_table.remote(ipc_bytes(flat), durable=True)
+                    )
                 except Exception as e:  # spool landing failed
                     # retryable server-side failure (disk full, actor
                     # died): the reference maps consumer errors to 5xx,

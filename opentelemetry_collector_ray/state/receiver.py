@@ -47,6 +47,16 @@ deleted rows are never resurrected — but it is unsafe while a durable
 export is in flight: a delete between that check and the rename would
 bring the consumed rows back.
 
+The hop into the actor: rows cross as Arrow IPC stream bytes
+(``ipc_bytes``), which ``export_table`` reads back with
+``pa.ipc.open_stream``. Ray sends a ``pa.Table`` argument through its
+own Table reducer, and rebuilding that table in the actor imports
+``ray.air``'s tensor extensions, which load Ray Data and pandas (about
++48 MB of resident memory and 0.5 s, for a process that only writes
+parquet). IPC is also slice-safe: it writes only a slice's rows, where
+a pickled slice can carry its parent's whole buffers. ``export_table``
+still takes a ``pa.Table`` from an in-process caller.
+
 The actor is num_cpus=0 (it only buffers and writes); at cluster scale
 run one receiver actor per ingest endpoint and let them share a spool
 directory — segment names are receiver-id-prefixed, so concurrent
@@ -123,9 +133,16 @@ class SpoolReceiverActor:
         the reference's queue+storage acceptance)."""
         return self.export_table(pa.Table.from_pylist(rows), durable)
 
-    def export_table(self, table: pa.Table, durable: bool = False) -> int:
-        """Arrow-native push (zero object-store copies on the way in).
-        Same ack contract as ``export``."""
+    def export_table(self, payload: bytes | pa.Table, durable: bool = False) -> int:
+        """Arrow-native push: ``payload`` is the rows as Arrow IPC
+        stream bytes (``ipc_bytes``, what every caller through Ray
+        sends) or a ``pa.Table`` (an in-process caller). Same ack
+        contract as ``export``."""
+        table = (
+            payload
+            if isinstance(payload, pa.Table)
+            else pa.ipc.open_stream(payload).read_all()
+        )
         if len(table):
             self.buf.append(table)
             self.buffered_rows += len(table)
@@ -188,6 +205,15 @@ class SpoolReceiverActor:
         return final
 
 
+def ipc_bytes(table: pa.Table) -> bytes:
+    """``table`` as one Arrow IPC stream: the form rows take across the
+    hop into a receiver actor (see the module docstring)."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
 def push_dataset(ds, actor, *, rows_per_push: int = 8192) -> int:
     """Stream a Dataset into a receiver actor batch-by-batch (the test
     client — stands in for the gRPC client): pipelined pushes, never a
@@ -196,7 +222,7 @@ def push_dataset(ds, actor, *, rows_per_push: int = 8192) -> int:
     total = 0
     for batch in ds.iter_batches(batch_format="pyarrow", batch_size=rows_per_push):
         total += len(batch)
-        pending.append(actor.export_table.remote(batch))
+        pending.append(actor.export_table.remote(ipc_bytes(batch)))
         if len(pending) > 8:  # bounded in-flight pushes (backpressure)
             ray.get(pending.pop(0))
     if pending:

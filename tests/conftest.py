@@ -64,3 +64,23 @@ def assert_matches_oracle(duck, query_fn, sql, **kwargs):
     # drift (int64 vs float64 prints 947 vs 947.0) that the frame
     # comparison above tolerates
     pd.testing.assert_frame_equal(got.astype(str), want.astype(str))
+
+
+# modules a package actor's process must never load: the actors only
+# buffer, count or write, and these cost ~50 MB of resident memory and
+# half a second of start-up (CLAUDE.md, "Invariants to preserve")
+HEAVY_MODULES = ("ray.data", "ray.air", "pandas")
+
+
+def heavy_modules(actor) -> list[str]:
+    """The ``HEAVY_MODULES`` (and their submodules) loaded in ``actor``'s
+    process, read through ``__ray_call__``."""
+
+    def probe(_self, heavy):
+        import sys
+
+        return sorted(
+            m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy)
+        )
+
+    return ray.get(actor.__ray_call__.remote(probe, HEAVY_MODULES))

@@ -644,6 +644,39 @@ def test_retried_write_counts_each_stage_once(corpus, tmp_path, monkeypatch):
     assert c["processor/enrich/accepted_log_records"] == n_in
 
 
+def test_sorted_sized_write_runs_its_stages_once(corpus, tmp_path):
+    """engine.sortedSinkWrites with min_rows_per_file sizes its blocks by
+    the configured routes, not by a grouped count that executes the
+    read and every stage before the write executes them again: each
+    stage's accepted count equals the rows read, and every sink file
+    is still internally ordered."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    out = str(tmp_path / "sized")
+    spec = _spec(corpus, out)
+    spec["pipeline"]["sinks"]["min_rows_per_file"] = 200
+    spec["pipeline"]["feature_gates"] = [
+        "engine.sortedSinkWrites",
+        "engine.processorCounters",
+    ]
+    report = run_pipeline(spec)
+    n_in = pq.read_table(corpus).num_rows
+    c = report["processor_counters"]
+    assert c["processor/parse/accepted_log_records"] == n_in
+    assert c["processor/enrich/accepted_log_records"] == n_in
+    files = glob.glob(os.path.join(out, "sink=*", "*.parquet"))
+    landed = {}
+    for f in files:
+        t = pq.read_table(f, columns=["conv_id", "turn_idx"])
+        key = list(zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()))
+        assert key == sorted(key), f
+        sink = os.path.basename(os.path.dirname(f))[len("sink=") :]
+        landed[sink] = landed.get(sink, 0) + t.num_rows
+    assert landed == report["per_sink"]
+
+
 def test_condition_filter_stage_in_config_pipeline(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq

@@ -47,6 +47,7 @@ from opentelemetry_collector_ray.state.httpreceiver import (
     _flatten_request,
 )
 from opentelemetry_collector_ray.state.receiver import SpoolReceiverActor
+from tests.conftest import heavy_modules
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -164,6 +165,33 @@ def test_http_listener_end_to_end(tmp_path):
                 assert one[col].tolist() == expected_one[col].tolist()
         assert int(ray.get(actor.stats.remote())["accepted"]) == len(got)
         assert lis.accepted == len(got)
+    finally:
+        lis.stop()
+
+
+def test_http_listener_keeps_the_receiver_lean(tmp_path):
+    """The listener hands each request to the actor as IPC bytes: after
+    a protobuf and a JSON push the actor's process holds no Ray Data,
+    pandas or ray.air (a ``pa.Table`` argument loads all three there)."""
+    row = nest_otlp_batch(gen_transcripts(20).slice(0, 64)).to_pylist()[0]
+    bodies = (
+        ("application/x-protobuf", encode_logs_request(row)),
+        ("application/json", json.dumps(_strip_nulls(row)).encode()),
+    )
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool)
+    lis = OtlpHttpListener({"logs": actor})
+    port = lis.start()
+    try:
+        for ctype, body in bodies:
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/logs", data=body, method="POST"
+            )
+            req.add_header("Content-Type", ctype)
+            with urllib.request.urlopen(req) as resp:
+                assert resp.status == 200
+            assert heavy_modules(actor) == [], ctype
+        assert _footer_rows(spool) == lis.accepted == 2 * 64
     finally:
         lis.stop()
 

@@ -13,8 +13,10 @@ import ray.data
 from opentelemetry_collector_ray.state.checkpoint import run_partitioned
 from opentelemetry_collector_ray.state.receiver import (
     SpoolReceiverActor,
+    ipc_bytes,
     push_dataset,
 )
+from tests.conftest import heavy_modules
 
 
 def _rows(lo, hi):
@@ -290,3 +292,81 @@ def test_restart_keeps_a_sibling_receivers_files(tmp_path):
     rec.export_table(pa.table({"event_id": [2]}), durable=True)
     assert (spool / "r0-00000005.parquet").exists()
     assert (spool / ".tmp-r0-b-3").read_text() == "in flight"
+
+
+def test_push_dataset_keeps_the_receiver_lean(tmp_path):
+    """Rows cross into the actor as IPC bytes, so its process never
+    loads Ray Data, pandas or ray.air: rebuilding a pickled ``pa.Table``
+    there imports all three."""
+    actor = SpoolReceiverActor.remote(str(tmp_path / "spool"))
+    assert heavy_modules(actor) == []
+    ds = ray.data.from_arrow(pa.table({"event_id": list(range(600))}))
+    assert push_dataset(ds, actor, rows_per_push=256) == 600
+    ray.get(actor.flush.remote())
+    assert ray.get(actor.stats.remote())["accepted"] == 600
+    assert heavy_modules(actor) == []
+
+
+def test_counter_and_suppression_actors_stay_lean():
+    from opentelemetry_collector_ray.state.metrics import MetricsActor
+    from opentelemetry_collector_ray.state.tailer import SuppressionActor
+
+    counters = MetricsActor.remote()
+    ray.get(counters.add_many.remote({"processor/parse/accepted_log_records": 3}))
+    assert ray.get(counters.snapshot.remote())
+    supp = SuppressionActor.remote()
+    assert ray.get(supp.filter_fresh.remote([1, 2, 1])) == [True, True, False]
+    assert heavy_modules(counters) == []
+    assert heavy_modules(supp) == []
+
+
+def test_hop_payload_of_a_slice_holds_only_the_slice():
+    """A pickled slice can carry its parent's whole buffers (ARROW-10739);
+    the IPC payload push_dataset sends holds the slice's rows only."""
+    import pickle
+
+    import numpy as np
+    import pyarrow.compute as pc
+
+    n = 1_000_000
+    big = pa.table(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "val": pc.cast(pa.array(np.arange(n)), pa.string()),
+        }
+    )
+    sent = []
+
+    class Capture:  # stands in for the actor handle on the driver
+        def __init__(self):
+            self.export_table = self
+
+        def remote(self, payload, durable=False):
+            sent.append(payload)
+            return ray.put(0)
+
+    ds = ray.data.from_arrow(big).limit(3000)
+    assert push_dataset(ds, Capture(), rows_per_push=1000) == 3000
+    assert len(sent) == 3
+    for payload in sent:
+        rows = pa.ipc.open_stream(payload).read_all()
+        assert len(rows) == 1000
+        own = len(ipc_bytes(pa.table(rows.to_pydict())))
+        assert len(pickle.dumps(payload)) < 2 * own
+
+
+def test_table_and_ipc_pushes_land_identical_segments(tmp_path):
+    """``export_table`` takes a Table in-process and IPC bytes through
+    Ray; both land byte-identical segments."""
+    t = pa.table({"event_id": list(range(300)), "val": [f"v{i}" for i in range(300)]})
+    digests = []
+    for kind in ("table", "ipc"):
+        spool = tmp_path / kind
+        rec = SpoolReceiverActor.__ray_actor_class__(str(spool))
+        for lo in range(0, 300, 100):
+            part = t.slice(lo, 100)
+            rec.export_table(part if kind == "table" else ipc_bytes(part), durable=True)
+        digests.append(
+            {p.name: p.read_bytes() for p in sorted(spool.glob("*.parquet"))}
+        )
+    assert digests[0] == digests[1] and list(digests[0]) == ["r0-00000000.parquet"]
