@@ -34,6 +34,8 @@ try:
 except Exception:  # pragma: no cover - best effort; cwd==repo still works
     pass
 
+from opentelemetry_collector_ray.sources.parquet import read_parquet  # noqa: E402
+
 
 # --------------------------------------------------------------- helpers
 def _transcripts(sf_dir: str):
@@ -129,11 +131,9 @@ def q_route_latency_agg(sf_dir: str):
 def q_attributes_transform(sf_dir: str):
     """attributesprocessor action list over events (upsert/rename/
     extract/delete/hash — docs/processing.md:36-50 semantics)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.attributes import AttributesStage
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet")
+    ds = read_parquet(f"{sf_dir}/events.parquet")
     stage = AttributesStage(
         [
             {"action": "upsert", "key": "env", "value": "prod"},
@@ -163,60 +163,42 @@ def q_attributes_transform(sf_dir: str):
 def q_batch_rebatch(sf_dir: str):
     """batch processor analogue: re-block to ≤2048-row batches; content
     must be invariant (count/schema/rows identical)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.batch import rebatch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "event_type"])
     return rebatch(ds, 2048)
 
 
 # ------------------------------------------------ training-data ops
 def q_dedup_exact(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import exact_dedup
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     return exact_dedup(ds, col="text", id_col="doc_id")
 
 
 def q_token_stats(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import token_stats_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(token_stats_batch, batch_format="pyarrow").select_columns(
         ["doc_id", "n_tokens", "avg_word_len"]
     )
 
 
 def q_quality(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import quality_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(quality_batch, batch_format="pyarrow").select_columns(
         ["doc_id", "stopword_count", "stopword_ratio", "quality_score"]
     )
 
 
 def q_jaccard_pairs(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import jaccard_pairs_blocked
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     return jaccard_pairs_blocked(ds, block_col="lang", threshold=0.5)
 
 
@@ -250,25 +232,17 @@ def q_tail_sample_policies(sf_dir: str):
 def q_vocab_topk(sf_dir: str):
     """Vocabulary building: global top-100 tokens by frequency
     (WordCount with the combiner shape)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import vocab_topk
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     return vocab_topk(docs, k=100)
 
 
 def q_redact(sf_dir: str):
     """PII scrub: sequential regex redaction over document text."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import redact_batch
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return docs.map_batches(redact_batch, batch_format="pyarrow").select_columns(
         ["doc_id", "text_redacted"]
     )
@@ -279,12 +253,11 @@ def q_curate(sf_dir: str):
     exact dedup (min doc_id per text) → (doc_id, lang). The end-to-end
     corpus-cleaning pipeline assembled from the individual operators."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.dedup import exact_dedup
     from opentelemetry_collector_ray.stages.text import quality_batch
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     scored = docs.map_batches(quality_batch, batch_format="pyarrow")
@@ -309,7 +282,6 @@ def q_checkpoint_ledger(sf_dir: str):
     import zlib
 
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_ray.state.checkpoint import (
         PartitionLedger,
@@ -343,7 +315,7 @@ def q_checkpoint_ledger(sf_dir: str):
         import uuid as _uuid
 
         tmp = f"{shard_dir}.tmp-{os.getpid()}-{_uuid.uuid4().hex[:8]}"
-        ray.data.read_parquet(src).repartition(8).write_parquet(tmp)
+        read_parquet(src).repartition(8).write_parquet(tmp)
         try:
             os.rename(tmp, shard_dir)
         except OSError:
@@ -358,7 +330,7 @@ def q_checkpoint_ledger(sf_dir: str):
     shutil.rmtree(out_dir, ignore_errors=True)
 
     def pipeline(paths):
-        ds = ray.data.read_parquet(paths)
+        ds = read_parquet(paths)
         return ds.map_batches(
             lambda t: t.select(["event_id", "event_type"]),
             batch_format="pyarrow",
@@ -405,7 +377,6 @@ def q_curate_full(sf_dir: str):
     quality gate → exact dedup → stratified mix → chunk explosion.
     Four operators, one streaming pipeline, every step oracle-exact."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.dedup import exact_dedup
     from opentelemetry_collector_ray.stages.text import (
@@ -414,7 +385,7 @@ def q_curate_full(sf_dir: str):
         quality_batch,
     )
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     scored = docs.map_batches(quality_batch, batch_format="pyarrow")
@@ -432,13 +403,9 @@ def q_curate_full(sf_dir: str):
 
 
 def q_sessionize(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window import sessionize
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
     return sessionize(ds, gap_minutes=30).select_columns(
         ["user_id", "session_id", "n_events", "start_ts", "end_ts"]
     )
@@ -448,35 +415,25 @@ def q_active_sessions(sf_dir: str):
     """Concurrent-sessions-per-hour: sessions explode into the hours
     they span (gap-bounded factor), tiny combiner count — sweep-line
     without a global ordered scan."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window import (
         active_sessions_per_hour,
         sessionize,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
     return active_sessions_per_hour(sessionize(ds, gap_minutes=30))
 
 
 def q_tumbling_hourly(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window import tumbling_counts
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
     return tumbling_counts(ds, unit="hour")
 
 
 def q_top_users(sf_dir: str):
     """sort + limit: top 10 users by event count (tie → lower user_id)."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     counts = ds.groupby("user_id").count().rename_columns({"count()": "n"})
     top = counts.sort(["n", "user_id"], descending=[True, False]).limit(10)
     return top
@@ -498,11 +455,9 @@ def _embedding_queries(sf_dir: str) -> dict:
 
 def q_ann_topk(sf_dir: str):
     """Brute-force cosine top-10 for query vectors = embeddings 0..4."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import brute_force_topk
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     return brute_force_topk(ds, _embedding_queries(sf_dir), k=10)
 
 
@@ -516,8 +471,6 @@ def _verified_pairs(sf_dir: str):
     connector idiom (one stage's output feeds several consumers without
     recomputation). Cache key includes the documents file's mtime so a
     rewritten corpus recomputes."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import (
         minhash_candidates,
         verify_jaccard_pairs_joined,
@@ -533,9 +486,7 @@ def _verified_pairs(sf_dir: str):
     bypass = bool(os.environ.get("GRAFT_NO_QUERY_CACHE"))
     hit = None if bypass else _MINHASH_PAIRS_CACHE.get(key)
     if hit is None:
-        docs = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
+        docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
         cands = minhash_candidates(docs, distinct=False)
         verified = verify_jaccard_pairs_joined(cands, docs, threshold=0.5)
         hit = verified.materialize()
@@ -558,16 +509,12 @@ def q_minhash_pairs(sf_dir: str):
 
 
 def q_simhash(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import (
         SimHashStage,
         _cached_stage,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     # stage state is trivial (a bit mask) → per-worker cached stage in
     # elastic tasks, not a fixed actor pool (no reserved CPUs, no
@@ -588,13 +535,9 @@ def q_simhash_exact(sf_dir: str):
     bit-shift sums), so each document's signature hash-matches SQL,
     near-dup collisions included. `simhash` keeps the production
     64-bit siphash tier (rows-only, pinned by Hamming tests)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import simhash_poly_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(
         simhash_poly_batch, batch_format="pyarrow", batch_size=1024
     ).select_columns(["doc_id", "simhash"])
@@ -609,13 +552,9 @@ def q_minhash_exact(sf_dir: str):
     recall-tested. Docs with < 3 tokens emit no rows on either side.
     `minhash_pairs` keeps the production siphash tier (rows-only,
     recall-vs-exact pinned)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import minhash_poly_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(
         minhash_poly_batch, batch_format="pyarrow", batch_size=1024
     )
@@ -629,7 +568,6 @@ def q_lsh_buckets_exact(sf_dir: str):
     buckets holding ≥ 2 docs. Counts, never pairs — the banding logic
     is verified, the output stays linear in docs."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.stages.dedup import (
         _MH_POLY_B,
@@ -638,9 +576,7 @@ def q_lsh_buckets_exact(sf_dir: str):
         minhash_poly_batch,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def buckets(t: pa.Table) -> pa.Table:
         # minhash_poly_batch emits PERM-MAJOR blocks (all docs for perm
@@ -688,14 +624,10 @@ def q_lsh_buckets_exact(sf_dir: str):
 
 
 def q_langid(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import _cached_stage
     from opentelemetry_collector_ray.stages.text import LangIdStage
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
 
     # regex-profile state is cheap to build → per-worker cached stage
     # (the actor-pool form stays right for EXPENSIVE state like models;
@@ -709,13 +641,9 @@ def q_langid(sf_dir: str):
 
 
 def q_fingerprint(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import fingerprint_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(fingerprint_batch, batch_format="pyarrow").select_columns(
         ["doc_id", "fingerprint"]
     )
@@ -731,13 +659,10 @@ def q_fingerprint_exact(sf_dir: str):
     sides. Values are < 2³¹ so the int64 cast is lossless;
     ``fingerprint`` keeps the uint64 production column."""
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.text import fingerprint_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def to_i64(t: pa.Table) -> pa.Table:
         t = fingerprint_batch(t)
@@ -752,11 +677,9 @@ def q_fingerprint_exact(sf_dir: str):
 
 
 def q_lsh_topk(sf_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import lsh_topk
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     return lsh_topk(ds, _embedding_queries(sf_dir), k=10, bits=4)
 
 
@@ -764,11 +687,9 @@ def q_ivf_topk(sf_dir: str):
     """ANN via inverted file: sample-trained coarse centroids, per-list
     map_groups scoring of the nprobe closest lists (recall pinned vs
     the brute-force oracle in tests)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import ivf_topk
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     return ivf_topk(
         ds, _embedding_queries(sf_dir), k=10, nlist=16, nprobe=6
     )
@@ -779,13 +700,9 @@ def q_semdedup(sf_dir: str):
     training), remove within-cluster cosine near-dups keeping the
     lowest id. Rows-only — clustering is not SQL-expressible; the
     within-cluster rule is pinned exactly by pytest."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import semdedup
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     return semdedup(ds, threshold=0.4, nlist=16)
 
 
@@ -860,12 +777,11 @@ def q_corpus_stats(sf_dir: str):
     """Corpus data-card summary per language: docs, token totals, max
     doc length — one combiner pass, tiny result (the release-report
     numbers a training-data pipeline publishes)."""
-    import ray.data
     from ray.data.aggregate import Max, Sum
 
     from opentelemetry_collector_ray.stages.text import token_stats_batch
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     sized = docs.map_batches(
@@ -908,8 +824,6 @@ def q_dedup_clusters(sf_dir: str):
     `near_dup_keep` — the forward-connector idiom again)."""
     import os
 
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import connected_components
 
     doc_path = f"{sf_dir}/documents.parquet"
@@ -917,7 +831,7 @@ def q_dedup_clusters(sf_dir: str):
     hit = _CLUSTER_LABELS_CACHE.get(key)
     if hit is None:
         pairs = _verified_pairs(sf_dir)
-        nodes = ray.data.read_parquet(doc_path, columns=["doc_id"])
+        nodes = read_parquet(doc_path, columns=["doc_id"])
         out = connected_components(pairs, nodes)
         _CLUSTER_LABELS_CACHE.clear()  # bound: one corpus at a time
         hit = _CLUSTER_LABELS_CACHE[key] = (
@@ -931,9 +845,8 @@ def q_dedup_clusters(sf_dir: str):
 def q_distinct_values(sf_dir: str):
     """set-like distinct (Dataset.unique) — the one-column distinct op."""
     import pandas as pd
-    import ray.data
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type"])
     vals = sorted(ds.unique("event_type"))
     return pd.DataFrame({"event_type": vals})
 
@@ -990,7 +903,6 @@ def q_join_broadcast(sf_dir: str):
     count per nation (the enrich-with-side-dictionary idiom at
     relational width — no shuffle)."""
     import pyarrow.parquet as pq
-    import ray.data
 
     from opentelemetry_collector_ray.functions.join import broadcast_join
 
@@ -1006,9 +918,7 @@ def q_join_broadcast(sf_dir: str):
         nation, left_on="c_nationkey", right_on="n_nationkey"
     )[["c_custkey", "n_name"]].rename(columns={"c_custkey": "o_custkey"})
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"]
-    )
+    orders = read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
     joined = broadcast_join(orders, dim, on="o_custkey")
     return grouped_count(joined, ["n_name"])
 
@@ -1016,14 +926,12 @@ def q_join_broadcast(sf_dir: str):
 def q_join_bucketed(sf_dir: str):
     """Explicit partitioned hash join of two large tables:
     lineitem ⋈ orders on orderkey → line count per order status."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.join import bucketed_hash_join
 
-    li = ray.data.read_parquet(
+    li = read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_linenumber"]
     ).rename_columns({"l_orderkey": "o_orderkey"})
-    orders = ray.data.read_parquet(
+    orders = read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
     from opentelemetry_collector_ray.functions.agg import grouped_count
@@ -1036,14 +944,13 @@ def q_union_sources(sf_dir: str):
     """Receiver-union: two disjoint filtered reads of events unioned
     back (graph.go:161-165 multiple receivers → one pipeline)."""
     import pyarrow.compute as pc
-    import ray.data
 
     cols = ["event_id", "event_type", "user_id"]
-    a = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols).map_batches(
+    a = read_parquet(f"{sf_dir}/events.parquet", columns=cols).map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "error")),
         batch_format="pyarrow",
     )
-    b = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols).map_batches(
+    b = read_parquet(f"{sf_dir}/events.parquet", columns=cols).map_batches(
         lambda t: t.filter(pc.not_equal(t["event_type"], "error")),
         batch_format="pyarrow",
     )
@@ -1052,11 +959,7 @@ def q_union_sources(sf_dir: str):
 
 def q_sorted_head(sf_dir: str):
     """Global sort + limit: first 100 events by (ts, event_id)."""
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
     return ds.sort(["ts", "event_id"]).limit(100)
 
 
@@ -1065,10 +968,9 @@ def q_q1_lineitem(sf_dir: str):
     per-batch pre-aggregation then a tiny groupby — the combiner
     pattern at relational width."""
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity"],
     )
@@ -1095,12 +997,11 @@ def q_asof_join(sf_dir: str):
     """As-of join: each purchase matched to the user's latest
     prior-or-equal signup (backward search, inner)."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.join import asof_join
 
     cols = ["event_id", "user_id", "ts", "event_type"]
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols)
+    ev = read_parquet(f"{sf_dir}/events.parquet", columns=cols)
     purchases = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "purchase")).select(
             ["event_id", "user_id", "ts"]
@@ -1123,12 +1024,11 @@ def q_range_join(sf_dir: str):
     signup of the same user — all matches, not just the latest."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.join import range_join
 
     cols = ["event_id", "user_id", "ts", "event_type"]
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols)
+    ev = read_parquet(f"{sf_dir}/events.parquet", columns=cols)
     purchases = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "purchase")).select(
             ["event_id", "user_id", "ts"]
@@ -1160,14 +1060,11 @@ def q_distinct_users(sf_dir: str):
     tier for this slot is hll_distinct (functions/sketch.py)."""
     import pandas as pd
     import pyarrow as pa
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import grouped_count
     from opentelemetry_collector_ray.functions.shard import sharded_group_map
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         return t.group_by(["event_type", "user_id"]).aggregate([])
@@ -1210,7 +1107,7 @@ def q_json_roundtrip(sf_dir: str):
 
     out = f"/tmp/otel_ray_json_roundtrip_{os.getpid()}"
     shutil.rmtree(out, ignore_errors=True)
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "user_id"]
     )
     ds.write_json(out)
@@ -1228,7 +1125,7 @@ def q_csv_roundtrip(sf_dir: str):
 
     out = f"/tmp/otel_ray_csv_roundtrip_{os.getpid()}"
     shutil.rmtree(out, ignore_errors=True)
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "user_id"]
     )
     ds.write_csv(out)
@@ -1332,13 +1229,9 @@ def q_summary_metrics(sf_dir: str):
     """Summary metric type (5th pdata metric type): per-series count,
     sum and q50/q90/q99 over fixed-point milli-units — all read off one
     distributed (series, value) histogram."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import summary_metrics
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     return summary_metrics(
         ds, series="event_type", value="value", quantiles=(0.5, 0.9, 0.99)
     )
@@ -1348,10 +1241,9 @@ def _urgent_order_custkeys(sf_dir: str):
     """Right side for semi/anti: custkeys of URGENT orders (a strict
     subset of customers, so both semi and anti are non-trivial)."""
     import pyarrow.compute as pc
-    import ray.data
 
     return (
-        ray.data.read_parquet(
+        read_parquet(
             f"{sf_dir}/orders.parquet",
             columns=["o_custkey", "o_orderpriority"],
         )
@@ -1368,25 +1260,17 @@ def _urgent_order_custkeys(sf_dir: str):
 def q_semi_join(sf_dir: str):
     """SEMI join (EXISTS): customers with at least one URGENT order —
     right side collapsed to distinct keys, one co-grouping shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.join import bucketed_semi_join
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
+    cust = read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
     return bucketed_semi_join(cust, _urgent_order_custkeys(sf_dir), "c_custkey")
 
 
 def q_anti_join(sf_dir: str):
     """ANTI join (NOT EXISTS): customers with no URGENT order."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.join import bucketed_semi_join
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
+    cust = read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
     return bucketed_semi_join(
         cust, _urgent_order_custkeys(sf_dir), "c_custkey", anti=True
     )
@@ -1396,9 +1280,8 @@ def _lineitem_flag_pairs(sf_dir: str, flag: str):
     """Distinct-ish (l_partkey, l_suppkey) stream for one return flag —
     the two relations the set-operation queries compare."""
     import pyarrow.compute as pc
-    import ray.data
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_returnflag"],
     ).map_batches(
@@ -1435,13 +1318,9 @@ _EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
 def q_pivot_counts(sf_dir: str):
     """Long→wide pivot: per-user count of each event type as its own
     int64 column — per-batch indicator combiner, one uniform groupby."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.reshape import pivot_counts
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
     return pivot_counts(ds, "user_id", "event_type", _EVENT_TYPES)
 
 
@@ -1449,12 +1328,11 @@ def q_unpivot_counts(sf_dir: str):
     """Wide→long melt of the pivot (zero-count cells dropped) — proves
     melt(pivot(x)) round-trips to the plain grouped count."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.reshape import melt, pivot_counts
 
     wide = pivot_counts(
-        ray.data.read_parquet(
+        read_parquet(
             f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
         ),
         "user_id",
@@ -1474,11 +1352,10 @@ def q_rolling_sum(sf_dir: str):
     (SQL ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) — one sharded
     key shuffle, cumulative-sum prefix difference per shard."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.window2 import rolling_sum
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     ).map_batches(
@@ -1497,11 +1374,9 @@ def q_lag_lead(sf_dir: str):
     """SQL LAG/LEAD: each event's previous and next event type within
     its user's timeline — one sharded key shuffle, whole-shard shifted
     slices with segment-boundary masking."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window2 import lag_lead
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "event_type"],
     )
@@ -1519,11 +1394,9 @@ def q_normalize(sf_dir: str):
     """Canonical text normalization (lowercase, strip punctuation,
     collapse whitespace) over a mixed-case column — stateless
     vectorized RE2 kernels, zero shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import normalize_batch
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     ).map_batches(
         lambda t: normalize_batch(t, col="c_name", out="name_norm").select(
@@ -1560,13 +1433,11 @@ def q_dialogue_render(sf_dir: str):
 def q_interval_downsample(sf_dir: str):
     """Interval processor (contrib intervalprocessor): one point per
     series per 15-min interval, last observation wins."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import (
         interval_downsample,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -1578,13 +1449,9 @@ def q_interval_downsample(sf_dir: str):
 def q_rate_limit(sf_dir: str):
     """Rate limiter: at most 3 events per user per hour, earliest
     first — deterministic admission."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import rate_limit
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
     return rate_limit(
         ds, key="user_id", ts="ts", window_s=3600, max_per_window=3
     )
@@ -1594,8 +1461,6 @@ def q_rollup(sf_dir: str):
     """GROUP BY ROLLUP (event_type, hour) in one corpus pass: finest
     histogram shuffled once, coarser levels re-aggregated from the tiny
     finest table; sentinels instead of SQL NULLs."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import grouped_rollup
 
     def derive(t: pa.Table) -> pa.Table:
@@ -1605,7 +1470,7 @@ def q_rollup(sf_dir: str):
             {"event_type": t["event_type"], "hr": pa.array(hr, pa.int64())}
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
     ).map_batches(derive, batch_format="pyarrow")
     return grouped_rollup(
@@ -1620,8 +1485,6 @@ def q_cube(sf_dir: str):
     """GROUP BY CUBE (event_type, hour): all four grouping sets from
     one finest-level shuffle, coarser sets derived from the tiny
     finest table."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import grouped_cube
 
     def derive(t: pa.Table) -> pa.Table:
@@ -1631,7 +1494,7 @@ def q_cube(sf_dir: str):
             {"event_type": t["event_type"], "hr": pa.array(hr, pa.int64())}
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
     ).map_batches(derive, batch_format="pyarrow")
     return grouped_cube(
@@ -1647,11 +1510,10 @@ def q_variance(sf_dir: str):
     count/sum/sum-of-squares combiner, one tiny groupby, IEEE-identical
     float finish on both engines."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import grouped_variance
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(
         lambda t: pa.table(
@@ -1671,7 +1533,6 @@ def _events_vm(sf_dir: str):
     """events projected to (event_id, vm) with the fixed-point value
     key vm = floor(value*1000)."""
     import pyarrow.compute as pc
-    import ray.data
 
     def derive(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1683,7 +1544,7 @@ def _events_vm(sf_dir: str):
             }
         )
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "value"]
     ).map_batches(derive, batch_format="pyarrow")
 
@@ -1703,7 +1564,6 @@ def q_corr(sf_dir: str):
     the props payload length — exact int64 moment combiner, float
     finish mirrored term-by-term by the oracle."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import grouped_corr
 
@@ -1718,7 +1578,7 @@ def q_corr(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value", "props"]
     ).map_batches(derive, batch_format="pyarrow")
     return grouped_corr(ds, ["event_type"], "x", "y")
@@ -1728,7 +1588,6 @@ def q_zscore_outliers(sf_dir: str):
     """Per-type z-score anomaly count (|v−mean| > 2σ): stats combiner
     pass + broadcast threshold filter pass, no corpus shuffle."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import (
         grouped_outlier_counts,
@@ -1744,7 +1603,7 @@ def q_zscore_outliers(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(derive, batch_format="pyarrow")
     return grouped_outlier_counts(ds, ["event_type"], "vm", k=2.0)
@@ -1754,8 +1613,6 @@ def q_attributes_convert(sf_dir: str):
     """contrib attributes `convert` action + OTTL truncate_all: value
     double→int (trunc toward zero), user_id int→string, props clipped
     to 20 chars — all vectorized casts/slices."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.attributes import AttributesStage
 
     stage = AttributesStage(
@@ -1765,7 +1622,7 @@ def q_attributes_convert(sf_dir: str):
             {"action": "truncate", "key": "props", "value": 20},
         ]
     )
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "value", "user_id", "props"],
     ).map_batches(stage, batch_format="pyarrow")
@@ -1775,11 +1632,9 @@ def q_funnel(sf_dir: str):
     """Ordered funnel (view → click → purchase): users reaching each
     step via strictly-after earliest-event semantics — one sharded
     user shuffle, vectorized per-step mins."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.funnel import funnel_counts
 
-    ev = ray.data.read_parquet(
+    ev = read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
     return funnel_counts(ev, steps=["view", "click", "purchase"])
@@ -1789,13 +1644,9 @@ def q_tfidf(sf_dir: str):
     """Top-3 TF-IDF terms per document — integer-exact scoring
     (tf·1e6·N // df) so ranking is bit-stable; df table broadcast once,
     second pass zero-shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import tfidf_top_terms
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return tfidf_top_terms(docs, k=3, min_df=1)
 
 
@@ -1803,11 +1654,9 @@ def q_linear_probe(sf_dir: str):
     """Closed-form distributed ridge regression over embeddings → label
     (linear-probe idiom): one sufficient-statistics pass, driver solve,
     one scoring pass (rows-only, float scores)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import linear_probe
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding", "label"],
     )
@@ -1820,13 +1669,9 @@ def q_kmeans(sf_dir: str):
     streaming pass per iteration, k×d partials to the driver; output =
     per-vector cluster assignment (rows-only, pinned by blob-recovery
     tests)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import kmeans_fit
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     _, assignments, _ = kmeans_fit(ds, k=8, max_iter=5)
     return assignments
 
@@ -1835,13 +1680,9 @@ def q_embedding_pca(sf_dir: str):
     """Distributed PCA projection of the embedding corpus (covariance
     combiner → driver eigh → broadcast matmul projection); rows-only
     (float output), pinned by variance-ordering tests."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import embedding_pca
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     return embedding_pca(ds, k=4)
 
 
@@ -1849,11 +1690,9 @@ def q_budget_select(sf_dir: str):
     """Exact per-source char-budget selection (take docs in hash order
     until 4000 chars/source) — distributed prefix via bucket histogram
     + boundary refinement, no global sort."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import budget_select
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
     return budget_select(docs, budget=4000)
@@ -1863,15 +1702,11 @@ def q_grouped_tdigest(sf_dir: str):
     """Per-type approximate quantiles via grouped t-digest — the
     unbounded-cardinality grouped quantile tier (no oracle: sketch;
     accuracy pinned by pytest vs exact quantiles)."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.sketch import (
         grouped_tdigest_quantiles,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     return grouped_tdigest_quantiles(
         ds, group="event_type", value="value", qs=(0.5, 0.9, 0.99)
     )
@@ -1881,13 +1716,9 @@ def q_cooccurrence(sf_dir: str):
     """Document co-occurrence counts over the top-50 vocabulary —
     per-batch V×V matrix partials (BLAS), elementwise-sum merge; no
     pair explosion through the shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import cooccurrence_counts
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return cooccurrence_counts(docs, vocab_k=50, min_n=1)
 
 
@@ -1896,7 +1727,6 @@ def q_zorder(sf_dir: str):
     the two-dimensional row-group clustering key for pruned sink
     layouts; pure int64 bit arithmetic, engine-exact."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.layout import zorder_batch
 
@@ -1914,7 +1744,7 @@ def q_zorder(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
     ).map_batches(derive, batch_format="pyarrow")
     return ds.map_batches(
@@ -1927,7 +1757,6 @@ def q_gap_fill(sf_dir: str):
     forward (Prometheus staleness idiom): one dense point per day
     between each user's first and last active day."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.signals import gap_fill_locf
 
@@ -1943,7 +1772,7 @@ def q_gap_fill(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"],
     ).map_batches(derive, batch_format="pyarrow")
@@ -1955,13 +1784,12 @@ def q_join_bloom(sf_dir: str):
     per-user signup counts — non-matching left rows dropped before the
     join shuffle, result exact (FPs fail the real join)."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import grouped_count
     from opentelemetry_collector_ray.functions.join import bloom_filtered_join
 
     cols = ["event_id", "user_id", "event_type"]
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols)
+    ev = read_parquet(f"{sf_dir}/events.parquet", columns=cols)
     purchases = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "purchase")).select(
             ["event_id", "user_id"]
@@ -1989,13 +1817,9 @@ def q_join_bloom(sf_dir: str):
 def q_stratified_take(sf_dir: str):
     """Fixed-n per-stratum deterministic sampling: 50 docs per lang by
     multiplicative-hash rank — combiner top-n, seed-free."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import stratified_take
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
     return stratified_take(docs, group="lang", id_col="doc_id", n=50)
 
 
@@ -2003,13 +1827,9 @@ def q_retention(sf_dir: str):
     """Cohort retention triangle: first-active-day cohorts × re-activity
     offsets — one sharded user shuffle over pre-deduped (user, day)
     pairs, tiny final count."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.funnel import cohort_retention
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    ev = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     return cohort_retention(ev)
 
 
@@ -2017,8 +1837,6 @@ def q_json_parse(sf_dir: str):
     """Structured-log JSON body parsing (stanza json parser / OTTL
     ParseJSON): whole column → one NDJSON buffer → Arrow's native JSON
     reader, schema pinned so batches can't drift."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.parse import json_parse_batch
 
     schema = pa.schema([("k", pa.int64())])
@@ -2027,18 +1845,16 @@ def q_json_parse(sf_dir: str):
         out = json_parse_batch(t, col="props", keep=["k"], schema=schema)
         return out.select(["event_id", "k"])
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "props"]
     ).map_batches(run, batch_format="pyarrow")
 
 
 def q_gauge_last(sf_dir: str):
     """Gauge metric type: last observed value per series."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import gauge_last
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -2052,13 +1868,12 @@ def q_delta_cumulative(sf_dir: str):
     series (contrib deltatocumulative idiom) — integer deltas so the
     running sum is exact on both engines."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.signals import (
         delta_to_cumulative,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -2094,39 +1909,27 @@ def q_log_dedup(sf_dir: str):
 def q_mix_sample(sf_dir: str):
     """Deterministic stratified sampling (data mixing): per-language
     keep rates, engine-exact integer keep rule — no RNG state."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import mix_sample
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
     return mix_sample(docs, {"en": 60}, default_rate=30)
 
 
 def q_bpe_tokens(sf_dir: str):
     """Token counting, BPE-ish tier: GPT-2-style pretoken counts (the
     training-budget size proxy) beside whitespace-token counts."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import bpe_token_count_batch
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return docs.map_batches(bpe_token_count_batch, batch_format="pyarrow")
 
 
 def q_doc_freq(sf_dir: str):
     """Corpus TF/DF statistics (the TF-IDF weighting input): per token,
     total occurrences and document frequency, df >= 5."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import doc_freq
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     return doc_freq(docs, min_df=5)
 
 
@@ -2143,9 +1946,7 @@ def q_lm_score(sf_dir: str):
 
     from opentelemetry_collector_ray.stages.dedup import _cached_stage
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     lm_ref = ray.put(build_unigram_lm(docs))
 
     # per-worker cached stage instead of a fixed actor pool: the LM
@@ -2162,13 +1963,9 @@ def q_lm_score(sf_dir: str):
 def q_temperature_mix(sf_dir: str):
     """Temperature-based source rebalancing: kept counts ∝
     sqrt(n_min·n_s) via an engine-exact integer keep rule."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import temperature_mix
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
     return temperature_mix(docs, key_col="lang")
 
 
@@ -2186,7 +1983,7 @@ def q_perplexity_buckets(sf_dir: str):
         perplexity_buckets,
     )
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     lm_ref = ray.put(build_unigram_lm(docs))
@@ -2204,26 +2001,18 @@ def q_perplexity_buckets(sf_dir: str):
 def q_dup_spans(sf_dir: str):
     """Exact-substring duplication scoring: per doc, fraction of its
     distinct 5-grams occurring in at least one other document."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import dup_span_fraction
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return dup_span_fraction(docs, n=5)
 
 
 def q_chunks(sf_dir: str):
     """Document chunking: 50-token windows every 40 tokens (overlap 10)
     — the context-window/embedding preprocessing explosion."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import chunk_batch
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return docs.map_batches(
         lambda t: chunk_batch(t, size=50, stride=40),
         batch_format="pyarrow",
@@ -2233,13 +2022,9 @@ def q_chunks(sf_dir: str):
 def q_pack_sequences(sf_dir: str):
     """Sequence packing: greedy token-budget packing per hash shard —
     deterministic across parallelism, no global order needed."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import pack_sequences
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return pack_sequences(docs, budget=2048)
 
 
@@ -2253,13 +2038,10 @@ def q_pack_sequences_exact(sf_dir: str):
     keeps the production 64-shard tier whose determinism/quality
     bounds are pytest-pinned."""
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_ray.stages.text import pack_sequences
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = pack_sequences(docs, budget=2048, shards=1)
 
     def flat(df: pd.DataFrame) -> pd.DataFrame:
@@ -2279,13 +2061,9 @@ def q_bpe_train(sf_dir: str):
     distributed loop per stages/bpe.py. Rows-only: the iterative merge
     recurrence has no SQL form; exactness is pinned by the naive-
     reference parity and path-equality tests in test_bpe."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.bpe import bpe_train
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     return bpe_train(docs, merges=32, min_count=2)
 
 
@@ -2302,9 +2080,7 @@ def q_bpe_apply(sf_dir: str):
         bpe_train,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     merges = bpe_train(docs, merges=32, min_count=2)
     ref = ray.put(merges)
     return docs.map_batches(
@@ -2326,11 +2102,9 @@ def q_head_sample(sf_dir: str):
 def q_attributes_where(sf_dir: str):
     """OTTL-style conditional mutation: every action carries a row
     `where` predicate (docs/processing.md `set(...) where ...`)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.attributes import AttributesStage
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "user_id", "value", "props"],
     )
@@ -2378,11 +2152,9 @@ def q_service_graph(sf_dir: str):
 def q_delta_rate(sf_dir: str):
     """deltatorate processor idiom: per-series delta points → integer
     milli-rate over the interval since the previous point."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import delta_to_rate
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -2550,7 +2322,6 @@ def q_dedup_clusters_exact(sf_dir: str):
     the subset keeps both sides O(small) at every sf while gating the
     identical code path."""
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.dedup import (
         connected_components,
@@ -2563,11 +2334,11 @@ def q_dedup_clusters_exact(sf_dir: str):
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         return t.filter(pa.array(_np.asarray(ids) % 10 == 0))
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     ).map_batches(tenth, batch_format="pyarrow")
     pairs = jaccard_pairs_blocked(docs, block_col="lang", threshold=0.5)
-    nodes = ray.data.read_parquet(
+    nodes = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     ).map_batches(tenth, batch_format="pyarrow")
     return connected_components(pairs, nodes)
@@ -2603,13 +2374,9 @@ def q_langid_pred(sf_dir: str):
 def q_repetition(sf_dir: str):
     """Gopher-style repetition quality signal: dominant 2-gram share
     per document (boilerplate / degenerate-repetition gate)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import repetition_batch
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return docs.map_batches(repetition_batch, batch_format="pyarrow")
 
 
@@ -2656,24 +2423,18 @@ def q_processor_counters(sf_dir: str):
 def q_contamination(sf_dir: str):
     """Train/test contamination scan: distinct 5-gram overlap between
     each held-out doc (doc_id % 10 == 0) and the training split."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.dedup import contamination_check
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return contamination_check(docs, n=5, test_mod=10)
 
 
 def q_cumulative_delta(sf_dir: str):
     """Metrics signal: cumulative→delta temporality conversion per
     series (user_id), ordered by (ts, event_id)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import cumulative_to_delta
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -2687,16 +2448,13 @@ def q_merge_counts(sf_dir: str):
     event partitions merged aggregate-to-aggregate — equals the full
     rescan without touching raw rows again."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.agg import (
         grouped_count,
         merge_counts,
     )
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type"]
-    )
+    ev = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "event_type"])
     even = ev.map_batches(
         lambda t: t.filter(
             pc.equal(pc.bit_wise_and(t["event_id"], 1), 0)
@@ -2718,13 +2476,9 @@ def q_pareto(sf_dir: str):
     """Concentration diagnostic: the share of all events produced by
     the top 1% of users — exact from the tiny count-of-counts
     histogram, integer ppm."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import concentration_share
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     return concentration_share(ds, key="user_id", top_fraction_denom=100)
 
 
@@ -2747,13 +2501,9 @@ def q_gini(sf_dir: str):
     """Exact Gini coefficient of the per-user event distribution (ppm
     integer) from the count-of-counts histogram — no per-key ranking
     shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import gini_ppm
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     return gini_ppm(ds, key="user_id")
 
 
@@ -2763,7 +2513,6 @@ def q_corpus_overlap(sf_dir: str):
     accuracy pinned by test_sketch)."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         kmv_distinct,
@@ -2771,9 +2520,7 @@ def q_corpus_overlap(sf_dir: str):
         kmv_sketch,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     even = docs.map_batches(
         lambda t: t.filter(
             pc.equal(pc.bit_wise_and(t["doc_id"], 1), 0)
@@ -2803,25 +2550,19 @@ def q_hopping_counts(sf_dir: str):
     """Hopping windows (3 h size, 1 h hop): each event counts in 3
     overlapping windows — explode by the overlap factor, combiner
     count."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window import hopping_counts
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
     return hopping_counts(ds, size_hours=3, hop_hours=1)
 
 
 def q_profile(sf_dir: str):
     """Dataset profiling: per-column row/null/distinct counts + native
     min/max — one combiner pass + one all-columns distinct shuffle."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.profile import profile_dataset
 
     cols = ["event_id", "user_id", "event_type", "props"]
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=cols)
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=cols)
     return profile_dataset(ds, cols)
 
 
@@ -2844,15 +2585,13 @@ def q_histogram_quantile(sf_dir: str):
 def q_join_salted(sf_dir: str):
     """Skew-aware salted join (hot keys spread over `salt` reducers,
     right side replicated): same result as the plain bucketed join."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import grouped_count
     from opentelemetry_collector_ray.functions.join import salted_join
 
-    li = ray.data.read_parquet(
+    li = read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_linenumber"]
     ).rename_columns({"l_orderkey": "o_orderkey"})
-    orders = ray.data.read_parquet(
+    orders = read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
     joined = salted_join(li, orders, on="o_orderkey", salt=4, buckets=8)
@@ -2883,7 +2622,6 @@ def q_time_weighted_avg(sf_dir: str):
     (avg_over_time idiom): exact int64 value·duration sums, bit-stable
     float finish."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.signals import time_weighted_avg
 
@@ -2899,7 +2637,7 @@ def q_time_weighted_avg(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"],
     ).map_batches(derive, batch_format="pyarrow")
@@ -2909,13 +2647,9 @@ def q_time_weighted_avg(sf_dir: str):
 def q_late_events(sf_dir: str):
     """Watermark late-data flagging: watermark = max(ts) − 24 h (tiny
     combiner max), events older are flagged for the late-data sink."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import flag_late_events
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
     return flag_late_events(ds)
 
 
@@ -2923,11 +2657,9 @@ def q_cardinality_limit(sf_dir: str):
     """Metric-cardinality protection: per event type at most 50
     distinct user series keep identity (hash-rank chosen, run-stable),
     the rest relabel to _overflow."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import cardinality_limit
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "user_id"],
     )
@@ -2940,14 +2672,10 @@ def q_union_evolved(sf_dir: str):
     """Schema-evolution union (UNION ALL BY NAME): two reads with
     drifted column sets align by name, missing columns null-fill —
     the evolving-corpus ingestion path."""
-    import ray.data
-
     from opentelemetry_collector_ray.sources.evolve import union_by_name
 
-    old = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type"]
-    )
-    new = ray.data.read_parquet(
+    old = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "event_type"])
+    new = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
     )
     return union_by_name([old, new])
@@ -2956,11 +2684,9 @@ def q_union_evolved(sf_dir: str):
 def q_sentences(sf_dir: str):
     """Sentence segmentation: each doc exploded into trimmed non-empty
     sentences (one RE2 split per batch, zero shuffle)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import sentence_split_batch
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(sentence_split_batch, batch_format="pyarrow")
 
@@ -2968,12 +2694,10 @@ def q_sentences(sf_dir: str):
 def q_line_dedup(sf_dir: str):
     """Within-document line dedup (C4 cleaning rule): repeated lines
     dropped, first occurrence and order kept."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import dedup_lines_batch
 
     return (
-        ray.data.read_parquet(
+        read_parquet(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
         )
         .map_batches(dedup_lines_batch, batch_format="pyarrow")
@@ -2986,13 +2710,10 @@ def q_alerts(sf_dir: str):
     HAVING): hourly windows whose error count breaches the limit —
     tumbling combiner counts, tiny driver filter."""
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_ray.stages.window import tumbling_counts
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
     counts = tumbling_counts(ds, unit="hour")
     alerts = counts[
         (counts["event_type"] == "error") & (counts["n"] > 5)
@@ -3023,11 +2744,9 @@ def q_counter_resets(sf_dir: str):
     """cumulative→delta with monotonic-counter reset handling: a
     negative diff means the counter restarted, so the new value itself
     is the delta (contrib cumulativetodelta reset rule)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.signals import cumulative_to_delta
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -3044,37 +2763,27 @@ def q_counter_resets(sf_dir: str):
 def q_salted_counts(sf_dir: str):
     """Skew-proof two-phase (salted) grouped count — same result as a
     plain groupby, hot keys spread over 8 reducers."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.skew import salted_grouped_sum
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type"])
     return salted_grouped_sum(ds, "event_type", None, salt=8)
 
 
 def q_sliding_window(sf_dir: str):
     """Per-user trailing-60min event count at every event (RANGE
     window incl. ts-peers) — two binary searches per group."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window2 import sliding_count
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
     return sliding_count(ds, key="user_id", ts="ts", window_minutes=60)
 
 
 def q_topk_per_group(sf_dir: str):
     """Top-3 events by value per event_type with rank (row_number
     over partition)."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window2 import topk_per_group
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "event_id", "value"]
     )
     return topk_per_group(
@@ -3100,13 +2809,9 @@ def q_ntile(sf_dir: str):
     """Global decile assignment (ntile-over-everything) WITHOUT a
     global sort: distributed value histogram → broadcast start-rank
     dict → sharded tie-ranking."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.window2 import global_ntile
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
     return global_ntile(
         ds, value="n_chars", tiebreak="doc_id", buckets=10, out="bucket"
     )
@@ -3115,14 +2820,12 @@ def q_ntile(sf_dir: str):
 def q_join_native(sf_dir: str):
     """Ray's built-in hash-partitioned Dataset.join (same result as the
     explicit bucketed join)."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.agg import grouped_count
 
-    li = ray.data.read_parquet(
+    li = read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_linenumber"]
     ).rename_columns({"l_orderkey": "o_orderkey"})
-    orders = ray.data.read_parquet(
+    orders = read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
     joined = li.join(
@@ -3146,7 +2849,6 @@ def q_bloom_dedup(sf_dir: str):
     user_id-keyed gate."""
     import numpy as np
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         bloom_contains_affine,
@@ -3169,9 +2871,7 @@ def q_bloom_dedup(sf_dir: str):
 
         return f
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     old = docs.map_batches(_fp_parity(0), batch_format="pyarrow")
     new = docs.map_batches(_fp_parity(1), batch_format="pyarrow")
     bits = build_bloom_affine(old, value="fp", m_bits=M_BITS, hashes=HASHES)
@@ -3215,13 +2915,10 @@ def q_heavy_hitters(sf_dir: str):
     max_err means the cardinality outgrew k at this scale: that raises,
     rather than surfacing later as an oracle hash mismatch."""
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import heavy_hitters
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]
-    ).map_batches(
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"]).map_batches(
         lambda t: t.filter(_pc.is_valid(t["user_id"])),
         batch_format="pyarrow",
     )
@@ -3242,13 +2939,9 @@ def q_heavy_hitters_exact(sf_dir: str):
     distinct, k=64), oracle = plain GROUP BY counts. `heavy_hitters`
     keeps the genuinely-approximate high-cardinality tier
     (user_id, k=512) pinned by its pytest bound."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.sketch import heavy_hitters
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type"])
     return heavy_hitters(ds, value="event_type", k=64, top=20)
 
 
@@ -3264,15 +2957,11 @@ def q_hll_distinct(sf_dir: str):
     stays on the production siphash tier (`approx_distinct`,
     pytest-bounded); m=16 at ≥15 distinct keys keeps every register
     non-zero so the raw estimator is also the canonical one here."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.sketch import (
         grouped_hll_affine,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
     return grouped_hll_affine(ds, group="event_type", value="user_id")
 
 
@@ -3288,16 +2977,13 @@ def q_countmin_counts(sf_dir: str):
     tier (`build_countmin`/`countmin_query`) stays pytest-bounded
     (never-undercount + ε·n overcount)."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         build_countmin_affine,
         countmin_query_affine,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     cm = build_countmin_affine(ds, value="user_id", width=1024, depth=4)
     vocab = np.array(
         sorted(u for u in ds.unique("user_id") if u is not None and u >= 0),
@@ -3318,11 +3004,10 @@ def q_hll_registers_exact(sf_dir: str):
     state is the mergeable object a 256-node run actually ships."""
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import build_hll_affine
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     regs = build_hll_affine(ds, value="user_id", p_bits=6)
     return pd.DataFrame(
         {"register": np.arange(64, dtype=np.int64), "rho": regs}
@@ -3342,14 +3027,13 @@ def q_countmin_exact(sf_dir: str):
     over-counts the oracle also mirrors. `countmin_counts` keeps the
     production siphash tier (rows-only, pytest-bounded)."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         build_countmin_affine,
         countmin_query_affine,
     )
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     cm = build_countmin_affine(ds, value="user_id", width=64, depth=3)
     return countmin_query_affine(cm, np.arange(200, dtype=np.int64))
 
@@ -3366,14 +3050,13 @@ def q_bloom_exact(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         bloom_contains_affine,
         build_bloom_affine,
     )
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     even = ds.map_batches(
         lambda t: t.filter(
             _pc.equal(_pc.bit_wise_and(t["user_id"], 1), 0)
@@ -3405,7 +3088,6 @@ def q_kmv_exact_small(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow.compute as _pc
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         kmv_distinct,
@@ -3413,9 +3095,7 @@ def q_kmv_exact_small(sf_dir: str):
     )
 
     k = 4096
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id"]
-    )
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id"])
 
     def half(want: int):
         # event_id % 61 slices (pc.modulo doesn't exist in this
@@ -3460,13 +3140,11 @@ def q_tdigest_quantiles(sf_dir: str):
     δ-merged unbounded-continuous tier stays on `build_tdigest` /
     `grouped_tdigest_quantiles`, pinned by pytest accuracy bounds and
     the `tdigest_exact_small`/`grouped_tdigest_exact_small` oracles."""
-    import ray.data
-
     from opentelemetry_collector_ray.functions.sketch import (
         quantized_tdigest_quantiles,
     )
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
     return quantized_tdigest_quantiles(
         ds, value="value", qms=(500, 900, 990, 999)
     )
@@ -3483,16 +3161,13 @@ def q_tdigest_exact_small(sf_dir: str):
     approximate tier pinned by its pytest accuracy bound."""
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         build_tdigest,
         tdigest_quantile,
     )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey"]
-    )
+    ds = read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey"])
     m, w = build_tdigest(ds, value="n_nationkey", delta=200.0)
     assert (w == 1.0).all(), "exact-small contract violated: merged centroid"
     qs = (0.25, 0.5, 0.9)
@@ -3514,13 +3189,12 @@ def q_grouped_tdigest_exact_small(sf_dir: str):
     order; milli-floored estimates are bit-identical.
     `grouped_tdigest` keeps the genuinely approximate tier."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.functions.sketch import (
         grouped_tdigest_quantiles,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/nation.parquet", columns=["n_regionkey", "n_nationkey"]
     )
     out = grouped_tdigest_quantiles(
@@ -3539,7 +3213,6 @@ def q_embedding_near_dup(sf_dir: str):
     """Embedding-cosine near-dup pairs (cos ≥ 0.4, id_a < id_b) —
     broadcast matrix, streamed batches, exact."""
     import pyarrow.parquet as pq
-    import ray.data
 
     from opentelemetry_collector_ray.stages.similarity import (
         embedding_near_dup_pairs,
@@ -3550,7 +3223,7 @@ def q_embedding_near_dup(sf_dir: str):
 
     ids = np.asarray(tbl["vec_id"].to_pylist(), dtype=np.int64)
     mat = np.stack(tbl["embedding"].to_pylist())
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     return embedding_near_dup_pairs(ds, mat, ids, threshold=0.4)
 
 
@@ -3564,13 +3237,11 @@ def q_embedding_near_dup_lsh(sf_dir: str):
     on both sides) — plus the in-bucket exact-cosine verify is
     reproduced pair-for-pair by the oracle, missed pairs included.
     The gaussian-plane tier keeps its recall-vs-exact pytest pin."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.similarity import (
         embedding_near_dup_lsh,
     )
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet")
     return (
         embedding_near_dup_lsh(
             ds, threshold=0.4, bits=4, planes_mode="coord-diff"
@@ -3615,10 +3286,10 @@ def q_push_ingest(sf_dir: str):
     ray.get(actor.flush.remote())
     files = sorted(glob.glob(spool + "/*.parquet"))
     run_partitioned(
-        files, out, lambda paths: ray.data.read_parquet(paths),
+        files, out, lambda paths: read_parquet(paths),
         num_partitions=8,
     )
-    return ray.data.read_parquet(glob.glob(out + "/part-*/*.parquet"))
+    return read_parquet(glob.glob(out + "/part-*/*.parquet"))
 
 
 def q_otlp_json_flatten(sf_dir: str):
@@ -4015,7 +3686,6 @@ def q_media_decode_real(sf_dir: str):
     float risk. (The float feature vector itself stays pytest-pinned:
     float32 pairwise-sum stats aren't SQL-mirrorable.)"""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.stages.imagecodec import (
         decode_image,
@@ -4029,9 +3699,7 @@ def q_media_decode_real(sf_dir: str):
         ResizeStage,
     )
 
-    ids = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id"]
-    )
+    ids = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
 
     _ENCODERS = (
         ("image/x-ppm", encode_ppm),
@@ -4107,7 +3775,6 @@ def q_media_decode_jpeg(sf_dir: str):
     same pixels from the closed-form block rule in pure BIGINT SQL —
     a hash match proves the whole bitstream→Huffman→IDCT path."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.stages.imagecodec import decode_image
     from opentelemetry_collector_ray.stages.jpegcodec import (
@@ -4116,9 +3783,7 @@ def q_media_decode_jpeg(sf_dir: str):
     )
     from opentelemetry_collector_ray.stages.multimodal import DecodeStage
 
-    ids = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id"]
-    )
+    ids = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
 
     def make_media(t: pa.Table) -> pa.Table:
         mids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4169,15 +3834,12 @@ def q_boilerplate_lines(sf_dir: str):
     first (mirrored verbatim in the oracle) — the operator must find
     and strip exactly that line while leaving unique lines alone."""
     import numpy as np
-    import ray.data
 
     from opentelemetry_collector_ray.stages.text import (
         cross_doc_line_dedup,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def aug(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -4216,11 +3878,10 @@ def q_dsir_weights(sf_dir: str):
     invariance is pinned by test_ops; `dsir_exact` keeps the
     collision-dense 64-bucket gate of the same algebra."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.text import dsir_exact
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     target = docs.map_batches(
@@ -4241,11 +3902,10 @@ def q_dsir_exact(sf_dir: str):
     (the float log-ratio is why ``dsir_weights`` itself is rows-only).
     Target = the 'en' slice, raw = all documents, 64 buckets."""
     import pyarrow.compute as pc
-    import ray.data
 
     from opentelemetry_collector_ray.stages.text import dsir_exact
 
-    docs = ray.data.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     target = docs.map_batches(
@@ -4263,13 +3923,9 @@ def q_lm_hits_exact(sf_dir: str):
     deterministic count-desc/token-asc ties), broadcast once, integer
     hit-count scoring per document (OOV → 0) — the float log-prob mean
     is why ``lm_score`` itself stays rows-only."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.text import lm_hits_exact
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return lm_hits_exact(docs, top=256)
 
 
@@ -4279,8 +3935,6 @@ def q_attributes_map(sf_dir: str):
     ``props`` plus flat columns, run the PutStr / rename / RemoveIf
     mutation surface, explode back to flat (event_id, key, value) rows
     for the oracle."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.maps import (
         MapAttributesStage,
         map_explode,
@@ -4307,7 +3961,7 @@ def q_attributes_map(sf_dir: str):
         out = stage(add_bucket(t))
         return map_explode(out, "attrs", ["event_id"])
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "user_id", "props"],
     ).map_batches(run, batch_format="pyarrow")
@@ -4316,8 +3970,6 @@ def q_attributes_map(sf_dir: str):
 def q_ottl_map_where(sf_dir: str):
     """OTTL condition against MAP subscripts (``attrs['key']``): filter
     on values living inside the open-ended map, not flat columns."""
-    import ray.data
-
     from opentelemetry_collector_ray.stages.maps import (
         MapAttributesStage,
     )
@@ -4335,7 +3987,7 @@ def q_ottl_map_where(sf_dir: str):
     def run(t: pa.Table) -> pa.Table:
         return cond(stage(t)).select(["event_id", "user_id"])
 
-    return ray.data.read_parquet(
+    return read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "user_id", "props"],
     ).map_batches(run, batch_format="pyarrow")

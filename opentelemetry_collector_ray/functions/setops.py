@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray.data
 
 from .join import _as_pa_type
-from .shard import auto_shards, coalesce_for_shuffle, shard_column
+from .shard import auto_shards, shard_column
 
 
 def _set_op(
@@ -70,7 +70,6 @@ def _set_op(
     both = a.map_batches(prep(0), batch_format="pyarrow").union(
         b.map_batches(prep(1), batch_format="pyarrow")
     )
-    both = coalesce_for_shuffle(both)
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
         da = g.loc[g["_side"] == 0, cols].drop_duplicates()

@@ -14,6 +14,11 @@ cardinality; skew is impossible because the shard key is a hash.
 
 The per-shard function receives complete groups for MANY keys at once
 and must itself respect key boundaries (e.g. a pandas groupby inside).
+
+The default shard count is ``auto_shards``, the engine's one
+block-count rule (``sources.parquet.block_count``). Nothing re-blocks
+an input before its shuffle: an engine read already comes out in
+``block_count`` blocks, not Ray's 200-block default.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+
+from ..sources.parquet import block_count
 
 _FNV = np.uint64(0x100000001B3)
 _SCRAMBLE = np.uint64(11400714819323198485)  # Fibonacci hashing constant
@@ -54,51 +61,21 @@ def shard_column(
     return t.append_column(out, pa.array(s))
 
 
-def coalesce_for_shuffle(
-    ds: ray.data.Dataset,
-    *,
-    cpus: int | None = None,
-    block_bytes: int = 128 << 20,
-) -> ray.data.Dataset:
-    """Right-size block count before a shuffle: ``max(cluster CPUs,
-    size/128MB)``. The default parquet read splits small files into
-    dozens of tiny blocks and the sort-based shuffle becomes
-    dispatch-bound (measured: 64 blocks → 6.5 s vs 16 blocks → 2.7 s
-    for the same sf0.1 dedup pipeline); large inputs keep
-    ~``block_bytes`` blocks so parallelism tracks data size, never file
-    count. The input is materialized once and sized from its block
-    metadata: ``size_bytes()`` on a lazy plan executes it, and the
-    repartition would then execute it again."""
-    import ray as _ray
-
-    if cpus is None:
-        cpus = int(_ray.cluster_resources().get("CPU", 16))
-    ds = ds.materialize()
-    n = max(16, cpus, -(-(ds.size_bytes() or 0) // block_bytes))
-    return ds.repartition(n)
+# Bytes a hash shard is sized for: ``map_groups`` hands each shard to
+# its function as one pandas DataFrame.
+SHARD_BYTES = 256 << 20
 
 
-def auto_shards(
-    size_bytes: int,
-    cpus: int | None = None,
-    *,
-    target_shard_bytes: int = 256 << 20,
-) -> int:
+def auto_shards(size_bytes: int) -> int:
     """Shard count that scales with BOTH cluster width and input size:
-    ``max(2×CPUs, size/target_shard_bytes)``. ``map_groups`` materializes
-    a whole shard as ONE pandas DataFrame, so a fixed count (the old
+    ``sources.parquet.block_count`` at ``SHARD_BYTES`` a shard, i.e.
+    ``max(2×CPUs, size/256 MB)``. ``map_groups`` materializes a whole
+    shard as ONE pandas DataFrame, so a fixed count (the old
     ``shards=64`` default) means a 100 TB input puts ~1.6 TB on one
     reducer and caps the stage at 64-way parallelism regardless of
     cluster width. 2×CPUs keeps every core busy through stragglers;
     the bytes term bounds per-reducer memory as data grows."""
-    import ray as _ray
-
-    if cpus is None:
-        try:
-            cpus = int(_ray.cluster_resources().get("CPU", 16))
-        except Exception:
-            cpus = 16
-    return int(max(2 * cpus, -(-int(size_bytes or 0) // target_shard_bytes)))
+    return block_count(size_bytes, SHARD_BYTES)
 
 
 def cheap_size_bytes(ds: ray.data.Dataset) -> int:

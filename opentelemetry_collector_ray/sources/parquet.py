@@ -1,5 +1,9 @@
 """The engine's parquet read, sized to the cluster and to its rows.
 
+Every engine parquet read goes through ``read_parquet`` here: the
+sources, the sinks' read-backs, config pipelines and every query of
+``__ray_entry__.py``. None calls ``ray.data.read_parquet``.
+
 Ray's default read parallelism (``_autodetect_parallelism`` in
 ``ray/data/_internal/util.py``) is
 
@@ -20,6 +24,10 @@ landed 70 files a pass; sized here it runs 2 fused
 the floor:
 
     max(2 × cluster CPUs, ⌈estimated in-memory bytes / target_max_block_size⌉)
+
+That rule is ``block_count``, the engine's one rule for a block or
+shard count: ``functions/shard.auto_shards`` sizes the hash shards of
+every sharded shuffle with it too, at 256 MB a shard.
 
 The size term stays because ``ParquetDatasink.write`` lists a task's
 blocks before writing them, so a fused read→write task holds all of
@@ -83,7 +91,6 @@ up to 24 files:
 from __future__ import annotations
 
 import functools
-import math
 import os
 
 import numpy as np
@@ -176,11 +183,26 @@ def _list_files(paths, filesystem=None, extensions=("parquet",)):
     return fs, files
 
 
-def _tasks(on_disk: int) -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    target = ray.data.DataContext.get_current().target_max_block_size
-    size_term = math.ceil(on_disk * ENCODING_RATIO / target) if target else 1
+def block_count(nbytes: int, target: int | None, *, cpus: int | None = None) -> int:
+    """The engine's one rule for a read-task, block or shard count:
+    max(2 × cluster CPUs, ⌈``nbytes`` ÷ ``target``⌉). The CPU term keeps
+    every core busy through stragglers; the byte term bounds what one
+    task holds as the data grows (no byte term without a ``target``).
+    ``cpus`` defaults to the session's CPUs, or without a session the
+    local machine's, which Ray Data's own start-up would give it."""
+    if cpus is None:
+        cpus = (
+            int(ray.cluster_resources().get("CPU", 1))
+            if ray.is_initialized()
+            else os.cpu_count() or 1
+        )
+    size_term = -(-int(nbytes or 0) // target) if target else 1
     return max(2 * cpus, size_term, 1)
+
+
+def _tasks(on_disk: int) -> int:
+    target = ray.data.DataContext.get_current().target_max_block_size
+    return block_count(on_disk * ENCODING_RATIO, target)
 
 
 def file_tasks(paths, filesystem=None, extensions=None) -> int | None:

@@ -128,22 +128,18 @@ def transcripts_from_events(sf_dir: str) -> ray.data.Dataset:
     msg=<props>``.
 
     Shape: the one genuine shuffle is a SHARDED groupby on user_id
-    (functions/shard.py): users hash into ~2×CPU shards, each shard's
+    (functions/shard.py): users hash into ``auto_shards`` shards (2 ×
+    cluster CPUs, more only past 256 MB a shard), each shard's
     derivation is fully vectorized — group count tracks cluster width,
-    not conversation cardinality.
+    not conversation cardinality. The read is ``parquet.read_parquet``,
+    the engine's footer-planned read: it comes out in as many blocks as
+    the same rule gives the read (2 × cluster CPUs for a small file),
+    and the shuffle takes them as they are.
     """
-    import ray as _ray
+    from ..functions.shard import sharded_group_map
 
-    from ..functions.shard import coalesce_for_shuffle, sharded_group_map
-
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type", "value", "props"],
     )
-    # coalesce before the groupby: the default read splits one small
-    # file into ~200 tiny blocks and the sort-based shuffle becomes
-    # dispatch-bound (BASELINE.md block-sizing note); block count
-    # tracks max(cluster width, data size / 128MB), never file count.
-    ds = coalesce_for_shuffle(ds)
-    ncpu = max(16, int(_ray.cluster_resources().get("CPU", 16)))
-    return sharded_group_map(ds, ["user_id"], _derive_shard, shards=2 * ncpu)
+    return sharded_group_map(ds, ["user_id"], _derive_shard)

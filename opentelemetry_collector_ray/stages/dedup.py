@@ -344,9 +344,8 @@ def minhash_candidates(
         )
         return st(batch)
 
-    from ..functions.shard import coalesce_for_shuffle, sharded_group_map
+    from ..functions.shard import sharded_group_map
 
-    docs = coalesce_for_shuffle(docs)
     signed = docs.map_batches(minhash_fn, batch_format="pyarrow")
     banded = signed.map_batches(band_fn, batch_format="pyarrow")
     # sharded groupby: the (band, band_hash) key space is huge (≈ one
@@ -444,9 +443,7 @@ def verify_jaccard_pairs_joined(
     Shuffles: one join by doc_id + one groupby on (doc_a, doc_b) — both
     uniform keys, both O(candidate pairs), never O(corpus)."""
     from ..functions.join import bucketed_hash_join
-    from ..functions.shard import coalesce_for_shuffle
 
-    docs = coalesce_for_shuffle(docs)
     sets_ds = docs.map_batches(
         lambda t: shingle_sets_batch(t, shingle_n=shingle_n, id_col=id_col),
         batch_format="pyarrow",
@@ -791,11 +788,9 @@ def connected_components(
             }
         )
 
-    from ..functions.shard import coalesce_for_shuffle, sharded_group_map
+    from ..functions.shard import sharded_group_map
 
-    edges = coalesce_for_shuffle(
-        pairs.map_batches(undirect, batch_format="pyarrow")
-    ).materialize()
+    edges = pairs.map_batches(undirect, batch_format="pyarrow").materialize()
 
     if edges.count() <= 2 * small_graph_pairs:
         # single-task tier: the ORIGINAL pairs (half the doubled edge
@@ -885,9 +880,9 @@ def connected_components(
             edges.map_batches(pad_edges, batch_format="pyarrow")
         )
         pushed = sharded_group_map(tagged, ["node"], push_shard)
-        # no per-round coalesce: the groupby output is already few
-        # well-sized blocks, and an extra repartition is a third
-        # shuffle per round for nothing
+        # no per-round repartition: the groupby output is already few
+        # well-sized blocks, and a repartition is a third shuffle per
+        # round for nothing
         labels = (
             pushed.groupby("node")
             .aggregate(Min("label", alias_name="label"))
@@ -915,7 +910,7 @@ def _assign_all(
     """One corpus-wide pass: every doc gets its propagated label, or
     its own id when it appears in no pair (isolated singleton
     cluster). Shared by both component tiers."""
-    from ..functions.shard import coalesce_for_shuffle, sharded_group_map
+    from ..functions.shard import sharded_group_map
 
     def pad_nodes(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy().astype(np.int64)
@@ -923,9 +918,7 @@ def _assign_all(
             {"node": ids, "label": pa.nulls(len(t), type=pa.int64())}
         )
 
-    tagged_all = coalesce_for_shuffle(
-        nodes.map_batches(pad_nodes, batch_format="pyarrow")
-    ).union(
+    tagged_all = nodes.map_batches(pad_nodes, batch_format="pyarrow").union(
         labels.map_batches(
             lambda t: t.select(["node", "label"]), batch_format="pyarrow"
         )

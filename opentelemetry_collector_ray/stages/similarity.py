@@ -281,7 +281,7 @@ def embedding_near_dup_lsh(
     SQL-mirrorable coordinate-difference family (`_coord_diff_planes`)
     so the whole approximate pair set — Hamming-≤2 candidate rule plus
     cosine verify — gets a full DuckDB oracle."""
-    from ..functions.shard import coalesce_for_shuffle, sharded_group_map
+    from ..functions.shard import sharded_group_map
 
     first = ds.take(1)
     dim = len(np.asarray(first[0]["embedding"]))
@@ -324,9 +324,7 @@ def embedding_near_dup_lsh(
             }
         )
 
-    exploded = coalesce_for_shuffle(ds).map_batches(
-        explode, batch_format="pyarrow"
-    )
+    exploded = ds.map_batches(explode, batch_format="pyarrow")
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         out_a: list[np.ndarray] = []

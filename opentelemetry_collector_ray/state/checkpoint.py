@@ -39,8 +39,6 @@ import os
 import shutil
 from dataclasses import dataclass
 
-from ..sources import wirefs
-
 
 @dataclass
 class LedgerEntry:
@@ -153,13 +151,14 @@ def run_partitioned(
     failure isolation, not parallelism — parallelism comes from Ray Data
     inside the partition).
 
-    Each partition is written with the sink writers' ``WRITE_OPTIONS``
-    (one encoding rule for every engine sink write). Partition row
-    counts come from the footers of the files each write landed
-    (``sinks.writers.landed_counts``) and live in the ledger; ``run_id``
-    names the run for the caller, no state is keyed on it.
+    Each partition is one ``sinks.writers.atomic_write_parquet``, the
+    write every engine sink makes: ``WRITE_OPTIONS``, a ``.tmp-`` dir,
+    the row count from the footers of the files it landed, then
+    ``wirefs.publish``. Partition row counts live in the ledger;
+    ``run_id`` names the run for the caller, no state is keyed on it.
     """
-    from ..sinks.writers import WRITE_OPTIONS, landed_counts
+    from ..sinks.retry import retry_call
+    from ..sinks.writers import atomic_write_parquet
 
     os.makedirs(out_dir, exist_ok=True)
     ledger = PartitionLedger(out_dir)
@@ -200,29 +199,21 @@ def run_partitioned(
             continue
         if fail_after is not None and processed >= fail_after:
             raise RuntimeError(f"injected crash before partition {pid}")
-        tmp = os.path.join(out_dir, f".tmp-part-{pid}-{os.getpid()}")
         final = os.path.join(out_dir, f"part-{pid}")
         # keys of the content about to be processed: an input rewritten
         # while the partition runs (a growing open spool segment) then
         # drifts on the next run instead of being ledgered as done
         keys = [_input_key(f) for f in files]
-
         # the retry-sender analogue around the sink write: transient
         # write failures back off with the reference's schedule
-        # (sinks/retry.py); each attempt restarts from a clean tmp, and
-        # the tmp→rename swap keeps every attempt idempotent.
-        from ..sinks.retry import retry_call
-
-        def write_once(files=files, tmp=tmp):
-            shutil.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp)
-            pipeline_fn(files).write_parquet(tmp, **WRITE_OPTIONS)
-            return landed_counts(tmp)
-
-        # retry I/O failures only — a user-code error in the pipeline
-        # must surface immediately, not after 5 minutes of backoff.
-        rows = retry_call(write_once, is_retryable=_is_io_failure)
-        wirefs.publish(tmp, final)
+        # (sinks/retry.py), and each attempt is one atomic sink write
+        # (a fresh ``.tmp-part-*`` dir, then the publish). I/O failures
+        # only: a user-code error in the pipeline must surface
+        # immediately, not after 5 minutes of backoff.
+        rows = retry_call(
+            lambda: atomic_write_parquet(pipeline_fn(files), final),
+            is_retryable=_is_io_failure,
+        )
         ledger.record(LedgerEntry(pid, keys, int(rows)))
         processed += 1
 

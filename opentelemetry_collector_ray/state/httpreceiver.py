@@ -57,6 +57,7 @@ import http.server
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -133,6 +134,20 @@ def _linger(h, limit: int = 1 << 20, timeout: float = 1.0) -> None:
             limit -= len(chunk)
     except OSError:
         pass  # the client went away: nothing left to deliver
+
+
+def _content_length(value: str) -> int | None:
+    """The body size a ``Content-Length`` value names: a decimal integer
+    in [0, ``sys.maxsize``], else None."""
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0") or "0"
+    # int() refuses a string of over 4300 digits; any longer than
+    # sys.maxsize is out of range anyway
+    if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
+        return None
+    return int(digits)
 
 
 class OtlpHttpListener:
@@ -263,19 +278,23 @@ class OtlpHttpListener:
         is_pb = ctype in _PB_TYPES
         if not is_pb and ctype not in _JSON_TYPES:
             return self._refuse(h, 415, f"unsupported content type {ctype!r}")
-        if h.headers.get("Content-Length") is None or h.headers.get(
-            "Transfer-Encoding"
-        ):
+        length = h.headers.get("Content-Length")
+        if length is None or h.headers.get("Transfer-Encoding"):
             # the body is read by Content-Length only: a chunked or
             # unsized body would be read as empty and acked with
             # nothing landed
             return self._refuse(h, 411, "Content-Length required")
+        size = _content_length(length)
+        if size is None:
+            # parsed before a slot is taken: ``rfile.read(-1)`` reads to
+            # EOF and would hold the slot until the client hangs up
+            return self._refuse(h, 400, f"bad Content-Length {length!r}")
         if not self._sem.acquire(blocking=False):
             return self._refuse(h, 429, "too many in-flight exports", True)
         try:
             if self._spool_saturated():
                 return self._refuse(h, 429, "spool backlog full", True)
-            body = h.rfile.read(int(h.headers["Content-Length"]))
+            body = h.rfile.read(size)
             try:
                 # Content-Encoding by payload MAGIC, never the header
                 # alone (read_binary_files quirk generalized: a lying

@@ -627,6 +627,44 @@ def test_http_listener_refuses_unsized_post(tmp_path):
         lis.stop()
 
 
+def test_http_listener_refuses_a_bad_content_length(tmp_path):
+    """A Content-Length that is not a decimal integer in [0,
+    sys.maxsize] answers 400 at once and counts as refused. ``abc`` and
+    an overflowing value closed the connection with no answer; ``-1``
+    read the body to EOF while holding an in-flight slot, so with one
+    slot every later push was turned away with 429."""
+    import socket
+
+    spool = str(tmp_path / "spool")
+    actor = SpoolReceiverActor.remote(spool, max_buffer_rows=1 << 20)
+    lis = OtlpHttpListener({"logs": actor}, max_inflight=1)
+    port = lis.start()
+    try:
+        for value in ("abc", "-1", "99999999999999999999"):
+            with socket.create_connection(("127.0.0.1", port), timeout=1) as s:
+                s.sendall(
+                    b"POST /v1/logs HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + value.encode() + b"\r\n\r\n{}"
+                )
+                # no shutdown of our side: a read to EOF would wait on it
+                status = s.recv(64).split(b"\r\n")[0]
+            assert status.split()[1] == b"400", (value, status)
+        assert lis.refused == 3
+
+        row, _ = _request_row(32)
+        body = json.dumps(_strip_nulls(row), separators=(",", ":")).encode()
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/logs", data=body, method="POST"
+        )
+        req.add_header("Content-Type", "application/json")
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            assert resp.status == 200
+        assert lis.accepted == 32 and lis.refused == 3
+    finally:
+        lis.stop()
+
+
 def test_http_listener_rejects_unknown_signal_config():
     with pytest.raises(ValueError, match="unknown signals"):
         OtlpHttpListener({"logz": None})

@@ -20,6 +20,7 @@ import ray.data
 
 from opentelemetry_collector_ray.fixtures import gen_transcripts
 from opentelemetry_collector_ray.sources import parquet
+from tests.conftest import SF_DIR
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -501,3 +502,80 @@ def test_one_cpu_reads_never_sample(tmp_path):
     name, tasks = got["ops"][0].split(": ")[:2]
     assert name == "Operator 1 ReadParquet->MapBatches(StageChain)->Write"
     assert tasks.startswith(f"{len(paths)} tasks executed"), got["ops"][0]
+
+
+def _ray_parquet_reads(path):
+    """Lines of ``path`` that call ``ray.data.read_parquet`` or import it."""
+    import ast
+
+    found = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.ImportFrom) and node.module == "ray.data":
+            if any(a.name == "read_parquet" for a in node.names):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "read_parquet"
+            and ast.unparse(node.func.value) == "ray.data"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_engine_and_entry_module_never_call_ray_read_parquet():
+    """Every parquet read of the package and of ``__ray_entry__.py`` is
+    the footer-planned ``sources.parquet.read_parquet``; Ray's sampling
+    read is left to the benchmark and the tests."""
+    import glob
+
+    files = glob.glob(os.path.join(REPO, "opentelemetry_collector_ray", "**", "*.py"),
+                      recursive=True)
+    files.append(os.path.join(REPO, "__ray_entry__.py"))
+    found = {os.path.relpath(f, REPO): _ray_parquet_reads(f) for f in files}
+    assert {f: lines for f, lines in found.items() if lines} == {}
+
+
+def test_one_cpu_transcripts_from_events_reads_without_repartition(tmp_path):
+    """``transcripts_from_events`` reads events through the package
+    ``ParquetDatasource`` and hands its blocks straight to the sharded
+    groupby: no ``Repartition`` (nor a materialized input) before the
+    shuffle, and every event becomes one turn."""
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.path.insert(0, {REPO!r})
+        import ray
+        ray.init(address="local", num_cpus=1,
+                 include_dashboard=False, logging_level="ERROR")
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        import __ray_entry__  # pickle-by-value registration
+        from opentelemetry_collector_ray.sources.transcripts import (
+            transcripts_from_events,
+        )
+
+        ds = transcripts_from_events({SF_DIR!r})
+        ops = []
+
+        def walk(op):
+            for dep in op.input_dependencies:
+                walk(dep)
+            source = getattr(op, "_datasource", None)
+            ops.append([type(op).__name__,
+                        None if source is None else type(source).__module__
+                        + "." + type(source).__name__])
+
+        walk(ds._logical_plan.dag)
+        print(json.dumps({{"ops": ops, "rows": ds.count()}}))
+        ray.shutdown()
+        """
+    )
+    got = _run_one_cpu(code, tmp_path)
+    names = [name for name, _ in got["ops"]]
+    assert got["ops"][0] == [
+        "Read", "opentelemetry_collector_ray.sources.parquet.ParquetDatasource"
+    ]
+    assert "Repartition" not in names
+    assert names[names.index("Sort") - 1] == "MapBatches", names  # shard tag
+    assert got["rows"] == pq.read_metadata(f"{SF_DIR}/events.parquet").num_rows

@@ -10,18 +10,28 @@ import ray.data
 
 
 def test_auto_shards_grows_with_cpus_and_bytes():
-    from opentelemetry_collector_ray.functions.shard import auto_shards
+    """Shard counts come from the engine's one block-count rule at
+    ``SHARD_BYTES`` a shard; its ``cpus`` argument stands in for a
+    cluster of that width."""
+    from opentelemetry_collector_ray.functions.shard import SHARD_BYTES, auto_shards
+    from opentelemetry_collector_ray.sources.parquet import block_count
+
+    def shards(size_bytes, cpus):
+        return block_count(size_bytes, SHARD_BYTES, cpus=cpus)
 
     # cluster-width term: small input, shard count tracks 2×CPUs
-    assert auto_shards(0, cpus=16) == 32
-    assert auto_shards(0, cpus=256) == 512
+    assert shards(0, cpus=16) == 32
+    assert shards(0, cpus=256) == 512
     # bytes term: huge input, shard count tracks size/target
     tgt = 256 << 20
-    assert auto_shards(1000 * tgt, cpus=16) == 1000
+    assert SHARD_BYTES == tgt
+    assert shards(1000 * tgt, cpus=16) == 1000
     # 100 TB sanity: per-shard bytes stay bounded at the target
     hundred_tb = 100 << 40
-    n = auto_shards(hundred_tb, cpus=2048)
+    n = shards(hundred_tb, cpus=2048)
     assert hundred_tb / n <= tgt
+    # auto_shards is that rule at the session's width
+    assert auto_shards(1000 * tgt) == 1000
 
 
 def test_sharded_group_map_default_uses_cluster_width():
@@ -125,35 +135,3 @@ def test_content_key_vectorized_hash_matches_md5_grouping():
         groups.setdefault(key, set()).add(txt)
     assert all(len(v) == 1 for v in groups.values())  # no collisions
     assert len(groups) == len(set(texts))  # equal texts share keys
-
-
-def test_coalesce_for_shuffle_runs_upstream_once():
-    """Sizing the repartition must not execute the upstream plan a
-    second time: a counting map before it runs once per block."""
-    from opentelemetry_collector_ray.functions.shard import coalesce_for_shuffle
-
-    @ray.remote
-    class Calls:
-        def __init__(self):
-            self.n = 0
-
-        def add(self):
-            self.n += 1
-
-        def get(self):
-            return self.n
-
-    calls = Calls.remote()
-
-    def counted(t: pa.Table) -> pa.Table:
-        ray.get(calls.add.remote())
-        return t
-
-    upstream = ray.data.range(4000, override_num_blocks=4).map_batches(
-        counted, batch_format="pyarrow", batch_size=None
-    )
-    out = coalesce_for_shuffle(upstream, cpus=1).materialize()
-    assert ray.get(calls.get.remote()) == 4
-    # max(16 floor, 1 CPU, a few KB / 128 MB) blocks, every row kept
-    assert out.num_blocks() == 16
-    assert sorted(r["id"] for r in out.take_all()) == list(range(4000))

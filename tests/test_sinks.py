@@ -418,8 +418,8 @@ def test_sink_encoding_keeps_content_and_dictionaries_by_cardinality(tmp_path):
 def test_every_engine_sink_write_starts_from_write_options(tmp_path, monkeypatch):
     """``atomic_write_parquet`` and the checkpointed partition write both
     hand ``WRITE_OPTIONS`` to ``write_parquet``, and a caller's kwargs
-    win over them. The sink write also names the filesystem its local
-    path resolved to."""
+    win over them. Both are one ``atomic_write_parquet``, so both also
+    name the filesystem their local path resolved to."""
     import pyarrow.fs as pafs
 
     from opentelemetry_collector_ray.sinks.writers import WRITE_OPTIONS
@@ -442,5 +442,5 @@ def test_every_engine_sink_write_starts_from_write_options(tmp_path, monkeypatch
     assert calls == [
         {**WRITE_OPTIONS, "compression": "zstd", "row_group_size": 2,
          "filesystem": pafs.LocalFileSystem()},
-        WRITE_OPTIONS,
+        {**WRITE_OPTIONS, "filesystem": pafs.LocalFileSystem()},
     ]
