@@ -936,7 +936,7 @@ def q_join_bucketed(sf_dir: str):
     )
     from opentelemetry_collector_ray.functions.agg import grouped_count
 
-    joined = bucketed_hash_join(li, orders, on="o_orderkey", buckets=8)
+    joined = bucketed_hash_join(li, orders, on="o_orderkey")
     return grouped_count(joined, ["o_orderstatus"])
 
 
@@ -2594,7 +2594,7 @@ def q_join_salted(sf_dir: str):
     orders = read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
-    joined = salted_join(li, orders, on="o_orderkey", salt=4, buckets=8)
+    joined = salted_join(li, orders, on="o_orderkey", salt=4)
     return grouped_count(joined, ["o_orderstatus"])
 
 

@@ -8,12 +8,15 @@ dictionaries). A data engine needs both:
   shuffle at all. Use when the small side ≪ worker memory (dimension
   tables).
 - ``bucketed_hash_join``: both sides large — an explicit partitioned
-  hash join: add ``bucket = hash(key) % B`` to both sides, co-group by
-  bucket with ONE Ray Data groupby over the union of both sides, merge
-  matching buckets pairwise inside ``map_groups``. Uniform bucket keys
-  (hash of the join key) make skew impossible unless one key value
-  dominates — salt such keys into sub-buckets and replicate the other
-  side across the salt range.
+  hash join: ``functions.shard.co_group`` tags both sides with the
+  hash shard of the key, co-groups them with ONE Ray Data groupby over
+  the union of both sides, and each shard merges its two sides inside
+  ``map_groups``. Uniform shard keys (hash of the join key) make skew
+  impossible unless one key value dominates — salt such keys into
+  sub-keys and replicate the other side across the salt range.
+
+The semi/anti, as-of and range joins here and the set operations in
+``setops.py`` co-group through the same ``co_group``.
 
 (Recent Ray ships ``Dataset.join``; this explicit form keeps the
 partitioning assumptions visible and works on any 2.x.)
@@ -27,6 +30,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from .shard import co_group
 
 
 def broadcast_join(
@@ -78,28 +83,11 @@ def _as_pa_type(t) -> pa.DataType:
     return pa.from_numpy_dtype(dt)
 
 
-def _hash_bucket(col: pa.ChunkedArray | pa.Array, buckets: int) -> pa.Array:
-    vals = col.to_numpy(zero_copy_only=False)
-    if vals.dtype.kind in "iu":
-        # Fibonacci-style integer scramble — deterministic, uniform.
-        h = (vals.astype(np.uint64) * np.uint64(11400714819323198485)) >> np.uint64(40)
-    else:
-        import zlib
-
-        h = np.fromiter(
-            (zlib.crc32(str(v).encode()) for v in vals),
-            dtype=np.uint64,
-            count=len(vals),
-        )
-    return pa.array((h % np.uint64(buckets)).astype(np.int64))
-
-
 def bucketed_hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: str,
     *,
-    buckets: int = 16,
     how: str = "inner",
     suffix: str = "_r",
     restore_ints: bool = True,
@@ -107,10 +95,10 @@ def bucketed_hash_join(
 ) -> ray.data.Dataset:
     """Explicit partitioned hash join of two large datasets on ``on``.
 
-    Both sides are tagged with a side marker + bucket, padded to a
-    common schema (null columns, cheap), unioned, grouped by bucket
-    (one shuffle covering both sides), and merged per bucket with a
-    pandas hash join. Right-side name collisions get ``suffix``.
+    Both sides are padded to a common schema (null columns, cheap)
+    and co-grouped by the key's hash shard (``co_group``: one shuffle
+    covering both sides), and each shard is merged with a pandas hash
+    join. Right-side name collisions get ``suffix``.
 
     ``schemas``: optional (left, right) dicts of column → pyarrow type.
     ``Dataset.schema()`` EXECUTES part of a lazy pipeline to discover
@@ -156,42 +144,12 @@ def bucketed_hash_join(
             "bucketed_hash_join: how='outer' unsupported (pandas would "
             "match NULL keys to each other; SQL keeps them unmatched)"
         )
-    drop_null_keys = {
-        0: how in ("inner", "right"),
-        1: how in ("inner", "left"),
-    }
-
-    def prep(side: int, have: list[str]):
-        missing = [c for c in all_cols if c not in have]
-
-        def fn(batch: pa.Table) -> pa.Table:
-            if drop_null_keys[side]:
-                batch = batch.filter(pc.is_valid(batch[on]))
-            b = _hash_bucket(batch[on], buckets)
-            for c in missing:
-                batch = batch.append_column(c, pa.nulls(len(batch), type=all_types[c]))
-            batch = batch.append_column("_bucket", b).append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-            return batch.select(all_cols + ["_bucket", "_side"])
-
-        return fn
-
-    both = left.map_batches(prep(0, lcols), batch_format="pyarrow").union(
-        right.map_batches(prep(1, rcols), batch_format="pyarrow")
-    )
-    # Coalesce before the groupby: its sort-based shuffle degrades
-    # super-linearly with input block count (64-way-split small reads
-    # made the sort 20× slower than the join itself). At scale, block
-    # count should track data size (~128MB blocks), never file count.
-    both = both.repartition(max(buckets * 2, 16))
-
     lonly = [c for c in lcols if c != on]
     ronly = [c for c in rcols if c != on]
 
     # The null-padded union upcasts ints to float in pandas groups —
     # restore declared integer dtypes on the way out. Restoration must
-    # be the SAME decision in every bucket (a per-bucket NaN check
+    # be the SAME decision in every shard (a per-shard NaN check
     # would emit int64 blocks beside float64 blocks → schema drift),
     # so it is a static contract: inner joins restore ints and a
     # genuinely-null int column raises a clear error (pass
@@ -203,7 +161,7 @@ def bucketed_hash_join(
         else []
     )
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
         lg = g.loc[g["_side"] == 0, [on] + lonly]
         rg = g.loc[g["_side"] == 1, [on] + ronly]
         merged = lg.merge(rg, on=on, how=how)
@@ -217,7 +175,37 @@ def bucketed_hash_join(
                 "call with restore_ints=False to keep float output"
             ) from e
 
-    return both.groupby("_bucket").map_groups(merge_bucket, batch_format="pandas")
+    def drop_null_keys(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_valid(batch[on]))
+
+    return co_group(
+        [
+            (left, drop_null_keys if how in ("inner", "right") else None),
+            (right, drop_null_keys if how in ("inner", "left") else None),
+        ],
+        [on],
+        merge_shard,
+        columns={c: all_types[c] for c in all_cols},
+    )
+
+
+def _keyed_sides(
+    left: ray.data.Dataset, right: ray.data.Dataset, key: str
+) -> tuple[list[str], list[str], dict[str, pa.DataType]]:
+    """The left's columns, the right's without ``key`` (the two must
+    be disjoint) and the type of each, left first: the common schema
+    of the as-of and range joins' co-group."""
+    lschema, rschema = left.schema(), right.schema()
+    lcols = list(lschema.names)
+    rcols = [c for c in rschema.names if c != key]
+    overlap = set(lcols) & set(rcols)
+    if overlap:
+        raise ValueError(f"rename right-side columns first: {sorted(overlap)}")
+    types = {
+        **{n: _as_pa_type(t) for n, t in zip(lschema.names, lschema.types)},
+        **{n: _as_pa_type(t) for n, t in zip(rschema.names, rschema.types)},
+    }
+    return lcols, rcols, {c: types[c] for c in lcols + rcols}
 
 
 def asof_join(
@@ -244,37 +232,10 @@ def asof_join(
     keys, range-partition ts and carry the previous range's last row
     forward).
     """
-    lcols = list(left.schema().names)
-    rcols = [c for c in right.schema().names if c != key]
-    overlap = set(lcols) & set(rcols)
-    if overlap:
-        raise ValueError(f"rename right-side columns first: {sorted(overlap)}")
-    ltypes = dict(zip(left.schema().names, left.schema().types))
-    rtypes = dict(zip(right.schema().names, right.schema().types))
-    all_cols = lcols + rcols
-    types = {**ltypes, **rtypes}
-
-    def pad(have: list[str], side: int):
-        missing = [c for c in all_cols if c not in have]
-
-        def fn(batch: pa.Table) -> pa.Table:
-            for c in missing:
-                batch = batch.append_column(c, pa.nulls(len(batch), type=types[c]))
-            batch = batch.append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-            return batch.select(all_cols + ["_side"])
-
-        return fn
-
-    both = left.map_batches(pad(lcols, 0), batch_format="pyarrow").union(
-        right.map_batches(pad([key] + rcols, 1), batch_format="pyarrow")
-    )
-
+    lcols, rcols, types = _keyed_sides(left, right, key)
     # the null-padded union upcasts ints to float in pandas groups —
     # restore the declared integer dtypes on the way out.
     int_cols = [c for c, t in types.items() if pa.types.is_integer(t)]
-    from .shard import sharded_group_map
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         # pd.merge_asof(by=key) matches every key in the shard in one
@@ -302,7 +263,9 @@ def asof_join(
         merged = merged.dropna(subset=[right_ts])
         return merged.astype({c: "int64" for c in int_cols if c in merged})
 
-    return sharded_group_map(both, [key], per_shard)
+    return co_group(
+        [(left, None), (right, None)], [key], per_shard, columns=types
+    )
 
 
 def range_join(
@@ -320,41 +283,15 @@ def range_join(
     rows whose window covers it. ``window`` is a ``pd.Timedelta`` (or
     anything addable to the ts dtype).
 
-    Shape: same single-shuffle co-group as ``asof_join`` (pad both
-    sides to a common schema, union, sharded groupby on ``key``), then
+    Shape: same single-shuffle co-group as ``asof_join`` (both sides
+    padded to a common schema and co-grouped on ``key``), then
     a per-shard pandas equi-merge on the key filtered by the time
     predicate. The per-key cartesian is bounded by per-key row counts —
     fine for per-entity event logs; salt a pathological hot key into
     time-range sub-buckets replicated across the boundary if one key
-    dominates (same remedy as the bucketed hash join)."""
-    lcols = list(left.schema().names)
-    rcols = [c for c in right.schema().names if c != key]
-    overlap = set(lcols) & set(rcols)
-    if overlap:
-        raise ValueError(f"rename right-side columns first: {sorted(overlap)}")
-    ltypes = dict(zip(left.schema().names, left.schema().types))
-    rtypes = dict(zip(right.schema().names, right.schema().types))
-    all_cols = lcols + rcols
-    types = {**ltypes, **rtypes}
-
-    def pad(have: list[str], side: int):
-        missing = [c for c in all_cols if c not in have]
-
-        def fn(batch: pa.Table) -> pa.Table:
-            for c in missing:
-                batch = batch.append_column(c, pa.nulls(len(batch), type=types[c]))
-            batch = batch.append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-            return batch.select(all_cols + ["_side"])
-
-        return fn
-
-    both = left.map_batches(pad(lcols, 0), batch_format="pyarrow").union(
-        right.map_batches(pad([key] + rcols, 1), batch_format="pyarrow")
-    )
+    dominates (same remedy as ``salted_join``)."""
+    lcols, rcols, types = _keyed_sides(left, right, key)
     int_cols = [c for c, t in types.items() if pa.types.is_integer(t)]
-    from .shard import sharded_group_map
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         lg = g.loc[g["_side"] == 0, lcols]
@@ -366,7 +303,9 @@ def range_join(
         out = merged.loc[keep]
         return out.astype({c: "int64" for c in int_cols if c in out})
 
-    return sharded_group_map(both, [key], per_shard)
+    return co_group(
+        [(left, None), (right, None)], [key], per_shard, columns=types
+    )
 
 
 def bucketed_semi_join(
@@ -375,7 +314,6 @@ def bucketed_semi_join(
     on: str,
     *,
     anti: bool = False,
-    buckets: int = 16,
 ) -> ray.data.Dataset:
     """SEMI / ANTI join at scale: keep (semi) or drop (anti) the left
     rows whose key appears on the right — EXISTS / NOT EXISTS, left
@@ -383,57 +321,34 @@ def bucketed_semi_join(
 
     Shape: the right side collapses to per-batch DISTINCT keys first (a
     combiner — the shuffle then carries right keys once per batch, not
-    once per row), both sides bucket by key hash, one co-grouping
-    shuffle, and each bucket filters with a vectorized ``isin``. For a
+    once per row), both sides co-group on the key's hash shard (one
+    shuffle), and each shard filters with a vectorized ``isin``. For a
     small right side prefer a broadcast set (`broadcast_join` idiom);
     this is the large-right path."""
-
-    def prep_left(batch: pa.Table) -> pa.Table:
-        b = _hash_bucket(batch[on], buckets)
-        return batch.append_column("_bucket", b).append_column(
-            "_side", pa.array(np.zeros(len(batch), dtype=np.int8))
-        )
-
     lschema = left.schema()
     lcols = list(lschema.names)
     ltypes = {n: _as_pa_type(t) for n, t in zip(lschema.names, lschema.types)}
 
-    def prep_right(batch: pa.Table) -> pa.Table:
-        keys = pc.unique(
-            batch[on].combine_chunks()
-            if isinstance(batch[on], pa.ChunkedArray)
-            else batch[on]
-        )
-        t = pa.table({on: keys})
-        for c in lcols:
-            if c != on:
-                t = t.append_column(c, pa.nulls(len(t), type=ltypes[c]))
-        t = t.select(lcols)
-        return t.append_column(
-            "_bucket", _hash_bucket(t[on], buckets)
-        ).append_column("_side", pa.array(np.ones(len(t), dtype=np.int8)))
-
-    both = left.map_batches(prep_left, batch_format="pyarrow").union(
-        right.select_columns([on]).map_batches(
-            prep_right, batch_format="pyarrow"
-        )
-    )
-    both = both.repartition(max(buckets * 2, 16))
+    def distinct_keys(batch: pa.Table) -> pa.Table:
+        return pa.table({on: pc.unique(batch[on])})
 
     # Emit Arrow with an explicit schema: an empty pandas block has no
     # inferable dtypes, and one schema-less block poisons Ray's schema
     # unification (the whole result surfaced as zero columns).
     out_schema = pa.schema([pa.field(c, ltypes[c]) for c in lcols])
 
-    def filter_bucket(g: pd.DataFrame) -> pa.Table:
+    def filter_shard(g: pd.DataFrame) -> pa.Table:
         lg = g.loc[g["_side"] == 0, lcols]
         rkeys = g.loc[g["_side"] == 1, on]
         hit = lg[on].isin(set(rkeys))
         out = lg[~hit] if anti else lg[hit]
         return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
 
-    return both.groupby("_bucket").map_groups(
-        filter_bucket, batch_format="pandas"
+    return co_group(
+        [(left, None), (right.select_columns([on]), distinct_keys)],
+        [on],
+        filter_shard,
+        columns=ltypes,
     )
 
 
@@ -444,7 +359,6 @@ def bloom_filtered_join(
     *,
     m_bits: int = 1 << 20,
     hashes: int = 4,
-    buckets: int = 16,
     suffix: str = "_r",
     schemas: tuple[dict, dict] | None = None,
 ) -> ray.data.Dataset:
@@ -455,7 +369,7 @@ def bloom_filtered_join(
     mergeable bitmap (`build_bloom`, OR-combined per block), broadcast
     ONCE, and left rows failing the membership probe are dropped
     BEFORE the shuffle. False positives only ride along and fail the
-    real per-bucket hash join, so inner-join results are exact; false
+    real per-shard hash join, so inner-join results are exact; false
     negatives cannot occur. Size ``m_bits`` to the right side's key
     cardinality (~10 bits/key ≈ 1% FP)."""
     import ray as _ray
@@ -485,7 +399,6 @@ def bloom_filtered_join(
         filtered,
         right,
         on,
-        buckets=buckets,
         how="inner",
         suffix=suffix,
         schemas=schemas,
@@ -498,11 +411,10 @@ def salted_join(
     on: str,
     *,
     salt: int = 8,
-    buckets: int = 16,
     suffix: str = "_r",
 ) -> ray.data.Dataset:
     """Skew-aware inner join for HOT keys: a dominant join key would
-    put its entire row set into one bucket of `bucketed_hash_join`
+    put its entire row set into one shard of `bucketed_hash_join`
     (one OOM-ing straggler at scale). Salting splits every left key's
     rows across ``salt`` sub-keys (per-batch round-robin — any
     distribution yields the identical join multiset) and replicates
@@ -539,7 +451,5 @@ def salted_join(
     rsalted = right.map_batches(
         replicate_right, batch_format="pyarrow"
     ).drop_columns([on])
-    joined = bucketed_hash_join(
-        lsalted, rsalted, "_sk", buckets=buckets, suffix=suffix
-    )
+    joined = bucketed_hash_join(lsalted, rsalted, "_sk", suffix=suffix)
     return joined.drop_columns(["_sk"])

@@ -7,31 +7,31 @@ operations, with SQL DISTINCT semantics: each side is reduced to
 distinct rows, and a row is kept iff it appears on both sides
 (intersect) or only on the left (except).
 
-Shape (scale path, both sides large):
+Shape (scale path, both sides large), through
+``functions.shard.co_group``:
 
 1. per-batch DISTINCT combiner on each side (an Arrow
    ``group_by(cols).aggregate([])`` — the shuffle then carries each
-   distinct row once per batch, not once per occurrence);
-2. hash of the FULL row → shard column, side tag;
-3. ONE co-grouping shuffle over the union of both sides;
-4. per-shard vectorized pandas merge (inner for intersect,
+   distinct row once per batch, not once per occurrence), fused with
+   the side's shard tag (hash of the FULL row) and side tag;
+2. ONE co-grouping shuffle over the union of both sides;
+3. per-shard vectorized pandas merge (inner for intersect,
    left-anti for except).
 
 Skew is impossible: the shard key is a uniform hash of the whole row.
 NULL caveat: SQL set ops treat NULLs as equal; the pandas merge in
-step 4 does not (NaN != NaN), so rows with NULL key fields are never
+step 3 does not (NaN != NaN), so rows with NULL key fields are never
 matched — document inputs accordingly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from .join import _as_pa_type
-from .shard import auto_shards, shard_column
+from .shard import co_group
 
 
 def _set_op(
@@ -41,12 +41,6 @@ def _set_op(
     anti: bool,
     shards: int | None,
 ) -> ray.data.Dataset:
-    if shards is None:
-        # size only when free (materialized inputs) — probing a lazy
-        # plan would execute it; see shard.cheap_size_bytes
-        from .shard import cheap_size_bytes
-
-        shards = auto_shards(cheap_size_bytes(a) + cheap_size_bytes(b))
     schema = a.schema()
     cols = list(schema.names)
     if list(b.schema().names) != cols:
@@ -57,19 +51,8 @@ def _set_op(
     types = {n: _as_pa_type(t) for n, t in zip(schema.names, schema.types)}
     out_schema = pa.schema([pa.field(c, types[c]) for c in cols])
 
-    def prep(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.select(cols).group_by(cols).aggregate([])  # batch distinct
-            t = shard_column(t, cols, shards)
-            return t.append_column(
-                "_side", pa.array(np.full(len(t), side, dtype=np.int8))
-            )
-
-        return fn
-
-    both = a.map_batches(prep(0), batch_format="pyarrow").union(
-        b.map_batches(prep(1), batch_format="pyarrow")
-    )
+    def batch_distinct(t: pa.Table) -> pa.Table:
+        return t.select(cols).group_by(cols).aggregate([])
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
         da = g.loc[g["_side"] == 0, cols].drop_duplicates()
@@ -85,9 +68,11 @@ def _set_op(
             out, schema=out_schema, preserve_index=False
         )
 
-    return both.groupby("_shard").map_groups(
-        lambda g: per_shard(g.drop(columns=["_shard"])),
-        batch_format="pandas",
+    return co_group(
+        [(a, batch_distinct), (b, batch_distinct)],
+        cols,
+        per_shard,
+        shards=shards,
     )
 
 

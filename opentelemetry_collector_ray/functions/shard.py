@@ -15,19 +15,28 @@ cardinality; skew is impossible because the shard key is a hash.
 The per-shard function receives complete groups for MANY keys at once
 and must itself respect key boundaries (e.g. a pandas groupby inside).
 
+Two-input operators (joins, semi/anti joins, set operations) use the
+same path through ``co_group``: each input side is tagged with its
+shard and its side inside its own ``map_batches``, the sides are
+unioned, and one groupby on the shard hands ``shard_fn`` every side's
+rows of a shard at once. ``sharded_group_map`` is its one-input form.
+
 The default shard count is ``auto_shards``, the engine's one
-block-count rule (``sources.parquet.block_count``). Nothing re-blocks
-an input before its shuffle: an engine read already comes out in
-``block_count`` blocks, not Ray's 200-block default.
+block-count rule (``sources.parquet.block_count``). A one-input shuffle
+takes its input's blocks as they come (an engine read already comes
+out in ``block_count`` blocks, not Ray's 200-block default); a union
+of sides is trimmed to ``shards`` blocks first, because Ray's sort
+shuffle makes one output partition per input block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..sources.parquet import block_count
@@ -40,10 +49,16 @@ _HASH_KEY = "otelray-shardkey"
 
 
 def hash_columns(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """Combined uint64 hash of the key columns, vectorized."""
+    """Combined uint64 hash of the key columns, vectorized. Integer
+    columns hash by value: a null becomes 0 first, so a key's hash does
+    not depend on whether its block holds a null (``to_numpy`` turns
+    such a block into float64 with NaN)."""
     h = np.zeros(len(t), dtype=np.uint64)
     for k in keys:
-        vals = t[k].to_numpy(zero_copy_only=False)
+        col = t[k]
+        if pa.types.is_integer(col.type):
+            col = pc.fill_null(col, 0)
+        vals = col.to_numpy(zero_copy_only=False)
         if vals.dtype.kind in "iu":
             hk = vals.astype(np.uint64) * _SCRAMBLE
         else:
@@ -93,31 +108,66 @@ def cheap_size_bytes(ds: ray.data.Dataset) -> int:
     return 0
 
 
-def sharded_group_map(
-    ds: ray.data.Dataset,
+def co_group(
+    sides: Sequence[
+        tuple[ray.data.Dataset, Callable[[pa.Table], pa.Table] | None]
+    ],
     keys: list[str],
-    shard_fn: Callable[[pd.DataFrame], pd.DataFrame],
+    shard_fn: Callable[[pd.DataFrame], pd.DataFrame | pa.Table],
     *,
+    columns: dict[str, pa.DataType] | None = None,
     shards: int | None = None,
     size_hint_bytes: int | None = None,
 ) -> ray.data.Dataset:
-    """``groupby(keys).map_groups(fn)`` with group count bounded by
-    ``shards``. One shuffle (on the hash shard), one vectorized
-    ``shard_fn`` call per shard. ``shards=None`` (the default)
-    auto-scales via ``auto_shards``: 2×cluster CPUs, raised by the
-    bytes term when the input size is known — from ``size_hint_bytes``
-    or, for already-materialized inputs, the plan's own metadata. The
-    size is NEVER probed from a lazy plan (that would execute it)."""
+    """Co-group the ``(dataset, prep)`` sides on the hash of ``keys``
+    and call ``shard_fn`` once per shard with all of its rows, as one
+    pandas frame without the ``_shard`` column. Each side runs one
+    fused ``map_batches``: its ``prep`` (an Arrow batch function, or
+    None), a pad to ``columns`` (column → type; missing columns become
+    typed nulls, every side comes out in that order), the ``_shard``
+    tag and, with two or more sides, an int8 ``_side`` tag (the side's
+    position). A union of sides is trimmed to ``shards`` blocks: Ray's
+    sort shuffle makes one partition per input block, and a partition
+    that gets no shard comes out empty and schema-less.
+
+    ``shards=None`` (the default) auto-scales via ``auto_shards``:
+    2×cluster CPUs, raised by the bytes term when the input size is
+    known — from ``size_hint_bytes`` or, for already-materialized
+    sides, the plan's own metadata. The size is NEVER probed from a
+    lazy plan (that would execute it)."""
     if shards is None:
         nbytes = (
             size_hint_bytes
             if size_hint_bytes is not None
-            else cheap_size_bytes(ds)
+            else sum(cheap_size_bytes(ds) for ds, _ in sides)
         )
         shards = auto_shards(nbytes)
-    tagged = ds.map_batches(
-        lambda t: shard_column(t, keys, shards), batch_format="pyarrow"
-    )
+    two_sided = len(sides) > 1
+
+    def tagger(prep, side: int):
+        def tag(t: pa.Table) -> pa.Table:
+            if prep is not None:
+                t = prep(t)
+            if columns is not None:
+                for c, typ in columns.items():
+                    if c not in t.column_names:
+                        t = t.append_column(c, pa.nulls(len(t), type=typ))
+                t = t.select(list(columns))
+            t = shard_column(t, keys, shards)
+            if two_sided:
+                side_tag = np.full(len(t), side, dtype=np.int8)
+                t = t.append_column("_side", pa.array(side_tag))
+            return t
+
+        return tag
+
+    tagged = [
+        ds.map_batches(tagger(prep, i), batch_format="pyarrow")
+        for i, (ds, prep) in enumerate(sides)
+    ]
+    both = tagged[0]
+    if two_sided:
+        both = both.union(*tagged[1:]).repartition(shards)
 
     def run_shard(g: pd.DataFrame):
         out = shard_fn(g.drop(columns=["_shard"]))
@@ -128,8 +178,26 @@ def sharded_group_map(
             return pa.Table.from_pandas(out, preserve_index=False)
         return out
 
-    return tagged.groupby("_shard").map_groups(
-        run_shard, batch_format="pandas"
+    return both.groupby("_shard").map_groups(run_shard, batch_format="pandas")
+
+
+def sharded_group_map(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    shard_fn: Callable[[pd.DataFrame], pd.DataFrame],
+    *,
+    shards: int | None = None,
+    size_hint_bytes: int | None = None,
+) -> ray.data.Dataset:
+    """``groupby(keys).map_groups(fn)`` with group count bounded by
+    ``shards``: the one-input ``co_group``. One shuffle (on the hash
+    shard), one vectorized ``shard_fn`` call per shard."""
+    return co_group(
+        [(ds, None)],
+        keys,
+        shard_fn,
+        shards=shards,
+        size_hint_bytes=size_hint_bytes,
     )
 
 
@@ -157,8 +225,6 @@ def fill_null_key(t: pa.Table, key: str) -> pa.Table:
     """Arrow batch form: replace nulls in a string key column with the
     sentinel (no-op for null-free or non-string columns)."""
     col = t[key]
-    import pyarrow.compute as pc
-
     if col.null_count and pa.types.is_string(col.type):
         idx = t.column_names.index(key)
         t = t.set_column(idx, key, pc.fill_null(col, NULL_KEY))
@@ -167,8 +233,6 @@ def fill_null_key(t: pa.Table, key: str) -> pa.Table:
 
 def restore_null_key(t: pa.Table, key: str) -> pa.Table:
     """Inverse of :func:`fill_null_key` (arrow batch form)."""
-    import pyarrow.compute as pc
-
     col = t[key]
     if not pa.types.is_string(col.type):
         return t

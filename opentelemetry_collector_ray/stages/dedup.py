@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 # ------------------------------------------------------------- exact
@@ -429,7 +430,6 @@ def verify_jaccard_pairs_joined(
     threshold: float,
     shingle_n: int = 3,
     id_col: str = "doc_id",
-    buckets: int = 16,
 ) -> ray.data.Dataset:
     """Distributed exact-Jaccard verification — the 100 TB shape. No
     driver-side corpus read, no broadcast dict: candidate pairs are
@@ -471,7 +471,6 @@ def verify_jaccard_pairs_joined(
         exploded,
         sets_ds,
         on=id_col,
-        buckets=buckets,
         schemas=(
             {id_col: pa.int64(), "doc_a": pa.int64(), "doc_b": pa.int64()},
             {id_col: pa.int64(), "shingles": pa.list_(pa.uint64())},
@@ -788,16 +787,27 @@ def connected_components(
             }
         )
 
-    from ..functions.shard import sharded_group_map
+    from ..functions.shard import co_group
 
     edges = pairs.map_batches(undirect, batch_format="pyarrow").materialize()
 
     if edges.count() <= 2 * small_graph_pairs:
-        # single-task tier: the ORIGINAL pairs (half the doubled edge
-        # rows) to one worker, union-find there
-        def uf_batch(t: pa.Table) -> pa.Table:
+        # single-task tier: one Ray task takes every block of the
+        # materialized edges and runs union-find on one direction of
+        # each edge (``node <= nbr`` keeps a self-pair's node), so the
+        # upstream ``pairs`` pipeline runs once
+        def union_find(*blocks: pa.Table) -> pa.Table:
+            # an empty block may have no columns at all
+            blocks = [b for b in blocks if b.num_rows]
+            if not blocks:
+                return pa.table(
+                    {"node": pa.array([], pa.int64()),
+                     "label": pa.array([], pa.int64())}
+                )
+            t = pa.concat_tables(blocks)
+            t = t.filter(pc.less_equal(t["node"], t["nbr"]))
             df = pd.DataFrame(
-                {"doc_a": t["doc_a"].to_numpy(), "doc_b": t["doc_b"].to_numpy()}
+                {"doc_a": t["node"].to_numpy(), "doc_b": t["nbr"].to_numpy()}
             )
             lab = cluster_pairs(df)
             return pa.table(
@@ -811,10 +821,8 @@ def connected_components(
                 }
             )
 
-        labels = pairs.repartition(1).map_batches(
-            uf_batch, batch_format="pyarrow", batch_size=None
-        ).materialize()
-        return _assign_all(labels, nodes, id_col)
+        ref = ray.remote(union_find).remote(*edges.to_arrow_refs())
+        return _assign_all(ray.data.from_arrow_refs([ref]), nodes, id_col)
 
     # round 0 fused into the seed, edge nodes only: with identity
     # labels, the label a node receives from a neighbor IS the
@@ -837,24 +845,6 @@ def connected_components(
         .materialize()
     )
 
-    def pad_labels(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": t["node"],
-                "nbr": pa.nulls(len(t), type=pa.int64()),
-                "label": t["label"],
-            }
-        )
-
-    def pad_edges(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": t["node"],
-                "nbr": t["nbr"],
-                "label": pa.nulls(len(t), type=pa.int64()),
-            }
-        )
-
     def push_shard(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized label push for every node in the shard: each
         # node's label row + its edge rows are co-located here; one
@@ -876,10 +866,13 @@ def connected_components(
     prev_sum = labels.sum("label")
     converged = False
     for _ in range(max_rounds):
-        tagged = labels.map_batches(pad_labels, batch_format="pyarrow").union(
-            edges.map_batches(pad_edges, batch_format="pyarrow")
+        # label rows have a null nbr, edge rows a null label
+        pushed = co_group(
+            [(labels, None), (edges, None)],
+            ["node"],
+            push_shard,
+            columns=dict.fromkeys(["node", "nbr", "label"], pa.int64()),
         )
-        pushed = sharded_group_map(tagged, ["node"], push_shard)
         # no per-round repartition: the groupby output is already few
         # well-sized blocks, and a repartition is a third shuffle per
         # round for nothing
@@ -910,19 +903,10 @@ def _assign_all(
     """One corpus-wide pass: every doc gets its propagated label, or
     its own id when it appears in no pair (isolated singleton
     cluster). Shared by both component tiers."""
-    from ..functions.shard import sharded_group_map
+    from ..functions.shard import co_group
 
-    def pad_nodes(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy().astype(np.int64)
-        return pa.table(
-            {"node": ids, "label": pa.nulls(len(t), type=pa.int64())}
-        )
-
-    tagged_all = nodes.map_batches(pad_nodes, batch_format="pyarrow").union(
-        labels.map_batches(
-            lambda t: t.select(["node", "label"]), batch_format="pyarrow"
-        )
-    )
+    def node_ids(t: pa.Table) -> pa.Table:
+        return pa.table({"node": t[id_col].to_numpy().astype(np.int64)})
 
     def assign_shard(g: pd.DataFrame) -> pd.DataFrame:
         own = g.drop_duplicates("node")[["node"]]
@@ -935,7 +919,13 @@ def _assign_all(
         m["label"] = m["label"].fillna(m["node"])
         return m.astype({"node": "int64", "label": "int64"})
 
-    assigned = sharded_group_map(tagged_all, ["node"], assign_shard)
+    # node rows have a null label
+    assigned = co_group(
+        [(nodes, node_ids), (labels, None)],
+        ["node"],
+        assign_shard,
+        columns={"node": pa.int64(), "label": pa.int64()},
+    )
 
     def to_out(t: pa.Table) -> pa.Table:
         return pa.table(

@@ -987,7 +987,7 @@ def test_bucketed_semi_and_anti_join():
     ).repartition(2)
 
     semi = (
-        bucketed_semi_join(left, right, "k", buckets=4)
+        bucketed_semi_join(left, right, "k")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -996,7 +996,7 @@ def test_bucketed_semi_and_anti_join():
     assert semi["v"].tolist() == ["b", "d"]
 
     anti = (
-        bucketed_semi_join(left, right, "k", anti=True, buckets=4)
+        bucketed_semi_join(left, right, "k", anti=True)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)

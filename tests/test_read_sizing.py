@@ -536,6 +536,43 @@ def test_engine_and_entry_module_never_call_ray_read_parquet():
     assert {f: lines for f, lines in found.items() if lines} == {}
 
 
+
+def _repartitions(path):
+    """(line, enclosing top-level function) of each ``.repartition(``
+    call in ``path``."""
+    import ast
+
+    found = []
+    for top in ast.parse(open(path).read()).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "repartition"
+            ):
+                found.append((node.lineno, getattr(top, "name", None)))
+    return found
+
+
+def test_package_repartitions_only_in_co_group_and_batching():
+    """The package re-blocks in two places: ``co_group``'s one trim of
+    a union of sides to the shard count, and the explicit batching
+    stage. Reads are sized where they are planned, and one-input
+    shuffles take their input's blocks as they come."""
+    import glob
+
+    files = glob.glob(os.path.join(REPO, "opentelemetry_collector_ray", "**", "*.py"),
+                      recursive=True)
+    found = {os.path.relpath(f, REPO): _repartitions(f) for f in files}
+    found = {f: calls for f, calls in found.items() if calls}
+    assert set(found) == {
+        "opentelemetry_collector_ray/functions/shard.py",
+        "opentelemetry_collector_ray/stages/batch.py",
+    }, found
+    assert [fn for _, fn in found["opentelemetry_collector_ray/functions/shard.py"]] == [
+        "co_group"
+    ]
+
 def test_one_cpu_transcripts_from_events_reads_without_repartition(tmp_path):
     """``transcripts_from_events`` reads events through the package
     ``ParquetDatasource`` and hands its blocks straight to the sharded
