@@ -25,8 +25,9 @@ The default shard count is ``auto_shards``, the engine's one
 block-count rule (``sources.parquet.block_count``). A one-input shuffle
 takes its input's blocks as they come (an engine read already comes
 out in ``block_count`` blocks, not Ray's 200-block default); a union
-of sides is trimmed to ``shards`` blocks first, because Ray's sort
-shuffle makes one output partition per input block.
+of sides known to hold more than ``shards`` blocks is merged down to
+``shards`` blocks first, because Ray's sort shuffle makes one output
+partition per input block.
 """
 
 from __future__ import annotations
@@ -108,6 +109,32 @@ def cheap_size_bytes(ds: ray.data.Dataset) -> int:
     return 0
 
 
+def known_block_count(ds: ray.data.Dataset) -> int | None:
+    """Blocks ``ds`` comes out in, from its plan alone, or None when
+    only executing it would tell. Known for a materialized (or
+    in-memory) dataset, and for a read with a requested block count
+    (Ray splits each read task's output up to it) seen through maps
+    that keep one output block per input block. Those maps may still
+    split an oversized block at run time, so the count is a floor."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data._internal.logical.operators.map_operator import (
+        AbstractUDFMap,
+        Project,
+    )
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    op = ds._logical_plan.dag
+    while isinstance(op, (AbstractUDFMap, Project)):
+        (op,) = op.input_dependencies
+    if isinstance(op, Read):
+        if op._parallelism > 0:
+            return max(op._parallelism, op.estimated_num_outputs() or 0)
+        return None
+    if isinstance(op, SourceOperator) and op.output_data() is not None:
+        return sum(len(bundle.blocks) for bundle in op.output_data())
+    return None
+
+
 def co_group(
     sides: Sequence[
         tuple[ray.data.Dataset, Callable[[pa.Table], pa.Table] | None]
@@ -126,9 +153,12 @@ def co_group(
     None), a pad to ``columns`` (column → type; missing columns become
     typed nulls, every side comes out in that order), the ``_shard``
     tag and, with two or more sides, an int8 ``_side`` tag (the side's
-    position). A union of sides is trimmed to ``shards`` blocks: Ray's
-    sort shuffle makes one partition per input block, and a partition
-    that gets no shard comes out empty and schema-less.
+    position). Ray's sort shuffle makes one partition per input block,
+    and a partition that gets no shard comes out empty and schema-less,
+    so a union of sides whose block count is known from its plan
+    (``known_block_count``) and exceeds ``shards`` is merged down to
+    ``shards`` blocks with one ``repartition``. The trim only merges:
+    a union of fewer or unknown blocks goes to the groupby as it comes.
 
     ``shards=None`` (the default) auto-scales via ``auto_shards``:
     2×cluster CPUs, raised by the bytes term when the input size is
@@ -167,7 +197,10 @@ def co_group(
     ]
     both = tagged[0]
     if two_sided:
-        both = both.union(*tagged[1:]).repartition(shards)
+        both = both.union(*tagged[1:])
+        counts = [known_block_count(ds) for ds, _ in sides]
+        if None not in counts and sum(counts) > shards:
+            both = both.repartition(shards)
 
     def run_shard(g: pd.DataFrame):
         out = shard_fn(g.drop(columns=["_shard"]))

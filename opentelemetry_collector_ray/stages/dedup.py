@@ -873,9 +873,10 @@ def connected_components(
             push_shard,
             columns=dict.fromkeys(["node", "nbr", "label"], pa.int64()),
         )
-        # no per-round repartition: the groupby output is already few
-        # well-sized blocks, and a repartition is a third shuffle per
-        # round for nothing
+        # labels and edges are materialized, so their block count is
+        # known: co_group merges their union down to the shard count
+        # only when it holds more blocks; ``pushed`` goes into the
+        # min-aggregate as the groupby emits it
         labels = (
             pushed.groupby("node")
             .aggregate(Min("label", alias_name="label"))

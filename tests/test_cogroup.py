@@ -1,11 +1,13 @@
 """The keyed co-group (``functions/shard.co_group``): every two-input
 operator tags each side with its hash shard inside that side's own
-map, unions the sides, trims the union to the shard count and runs one
-groupby on the shard; integer keys hash by value, nulls or not."""
+map, unions the sides, merges a union known to hold more blocks than
+shards down to the shard count and runs one groupby on the shard;
+integer keys hash by value, nulls or not."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data
@@ -13,6 +15,8 @@ import ray.data
 from opentelemetry_collector_ray.functions import join, setops
 from opentelemetry_collector_ray.functions.shard import (
     auto_shards,
+    co_group,
+    known_block_count,
     sharded_group_map,
 )
 
@@ -20,6 +24,13 @@ from opentelemetry_collector_ray.functions.shard import (
 def _blocks(*tables: dict) -> ray.data.Dataset:
     """One block per table."""
     return ray.data.from_arrow([pa.table(t) for t in tables])
+
+
+def _split(n: int, *tables: dict) -> ray.data.Dataset:
+    """The rows of ``tables`` in ``n`` blocks (some may be empty)."""
+    t = pa.concat_tables([pa.table(x) for x in tables])
+    step = -(-len(t) // n)
+    return ray.data.from_arrow([t.slice(i * step, step) for i in range(n)])
 
 
 def test_sharded_group_map_keeps_a_nullable_int_key_in_one_shard():
@@ -93,14 +104,16 @@ def _maps_below(op) -> int:
         (op,) = op.input_dependencies
 
 
-def _two_input(name: str) -> ray.data.Dataset:
+def _two_input(name: str, n: int) -> ray.data.Dataset:
+    """Operator ``name`` over two sides of ``n`` blocks each."""
     t = pd.Timestamp("2026-01-01")
     ts = [t + pd.Timedelta(minutes=m) for m in range(4)]
-    left = _blocks(
+    left = _split(
+        n,
         {"k": [1, 2], "lts": ts[:2], "lv": [1, 2]},
         {"k": [3, 4], "lts": ts[2:], "lv": [3, 4]},
     )
-    right = _blocks({"k": [1, 3], "rts": ts[:2]}, {"k": [4], "rts": ts[3:]})
+    right = _split(n, {"k": [1, 3], "rts": ts[:2]}, {"k": [4], "rts": ts[3:]})
     if name == "bucketed_hash_join":
         return join.bucketed_hash_join(left, right, "k")
     if name == "bucketed_semi_join":
@@ -112,20 +125,23 @@ def _two_input(name: str) -> ray.data.Dataset:
             left, right, key="k", left_ts="lts", right_ts="rts",
             window=pd.Timedelta(hours=1),
         )
-    pair = _blocks({"x": [1, 2], "y": ["a", "b"]}, {"x": [3], "y": ["c"]})
+    pair = _split(n, {"x": [1, 2], "y": ["a", "b"]}, {"x": [3], "y": ["c"]})
     return setops.dataset_intersect(pair, pair)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["bucketed_hash_join", "bucketed_semi_join", "asof_join", "range_join",
-     "dataset_intersect"],
-)
+OPERATORS = [
+    "bucketed_hash_join", "bucketed_semi_join", "asof_join", "range_join",
+    "dataset_intersect",
+]
+
+
+@pytest.mark.parametrize("name", OPERATORS)
 def test_two_input_operators_share_one_co_group_plan(name):
     """Each side's shard tag is fused into that side's one map before
-    the ``Union``; the union goes straight into one ``Repartition`` to
-    the shard count and one ``Sort`` (the groupby on ``_shard``)."""
-    ops = _ops(_two_input(name))
+    the ``Union``; a union of more blocks than shards goes straight
+    into one ``Repartition`` to the shard count and one ``Sort`` (the
+    groupby on ``_shard``)."""
+    ops = _ops(_two_input(name, auto_shards(0)))
     names = [type(op).__name__ for op in ops]
     assert names.count("Union") == 1, names
     union = ops[names.index("Union")]
@@ -139,6 +155,58 @@ def test_two_input_operators_share_one_co_group_plan(name):
     assert repartition._num_outputs == auto_shards(0)
     assert names.count("Sort") == 1, names
     assert names.index("Repartition") < names.index("Sort")
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_a_union_of_few_blocks_is_not_split(name):
+    """Two 2-block sides at 2×CPUs shards: the trim only merges, so
+    the union goes to the ``Sort`` without a ``Repartition``."""
+    ops = _ops(_two_input(name, 2))
+    names = [type(op).__name__ for op in ops]
+    assert "Repartition" not in names, names
+    assert names.count("Sort") == 1, names
+    assert ops[names.index("Sort")].input_dependencies == [
+        ops[names.index("Union")]
+    ], names
+
+
+def test_a_union_of_unknown_blocks_is_not_trimmed():
+    """A side whose block count only execution would tell (here a
+    groupby's output) leaves the union as it comes, and the co-group
+    still groups both sides' rows."""
+    many = _split(auto_shards(0) * 2, {"k": list(range(40))})
+    counted = many.groupby("k").count()
+    assert known_block_count(many) == auto_shards(0) * 2
+    assert known_block_count(counted) is None
+
+    def sizes(g: pd.DataFrame) -> pd.DataFrame:
+        n = g.groupby("k").size()
+        return pd.DataFrame({"k": n.index.to_numpy(), "n": n.to_numpy()})
+
+    out = co_group(
+        [(many, None), (counted, lambda t: t.select(["k"]))], ["k"], sizes
+    )
+    names = [type(op).__name__ for op in _ops(out)]
+    assert "Repartition" not in names, names
+    got = out.to_pandas()
+    assert sorted(got["k"]) == list(range(40))
+    assert (got["n"] == 2).all()
+
+
+def test_known_block_count_of_reads_and_materialized_sides(tmp_path):
+    """An engine read's count is its requested block count, also
+    through a rename and a map; a materialized dataset's is its
+    blocks."""
+    from opentelemetry_collector_ray.sources.parquet import read_parquet
+
+    pq.write_table(pa.table({"k": list(range(100))}), tmp_path / "k.parquet")
+    ds = read_parquet(str(tmp_path / "k.parquet"), override_num_blocks=5)
+    assert known_block_count(ds) == 5
+    renamed = ds.rename_columns({"k": "key"}).map_batches(
+        lambda t: t, batch_format="pyarrow"
+    )
+    assert known_block_count(renamed) == 5
+    assert known_block_count(ds.materialize()) == 5
 
 
 def test_connected_components_small_tier_runs_pairs_once(tmp_path):
